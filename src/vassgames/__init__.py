@@ -12,12 +12,10 @@ from .core import (
     BudgetExceeded,
     CounterOp,
     Ideal,
-    IntConfig,
     IntegerGame,
     PartialConfig,
     State,
     Transition,
-    UnknownVerdict,
     check_deadlock_free,
     complement_ideals,
     complete_with_sinks,
@@ -26,9 +24,8 @@ from .core import (
     is_single_sided,
     leq,
     lt,
-    oplus,
 )
-from .semantics import ENERGY, VASS, Play, enabled_transitions, energy_step, vass_step
+from .semantics import ENERGY, VASS, enabled_transitions, vass_step
 from .parity import FiniteParityGame, Strategy, solve_parity, verify_strategy
 from .bounded import OVERFLOW_WINS_P0, SATURATE, UNKNOWN, WIN0, WIN1, bracket_decide, solve_capped
 from .energy import energy_to_single_sided, pareto_energy, solve_abstract_energy_parity
@@ -37,7 +34,6 @@ from .solver import (
     ParetoTable,
     build_out_game,
     covered_by,
-    membership,
     pareto_single_sided_vass,
     vj_minimize,
 )

@@ -18,7 +18,6 @@ from .core import (
     Budget,
     BudgetExceeded,
     IntegerGame,
-    UnknownVerdict,
     check_deadlock_free,
     complete_with_sinks,
 )
@@ -32,7 +31,6 @@ EXIT_UNKNOWN = 3
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-cap", type=int, default=64, help="largest cap for the bounded oracle")
     p.add_argument("--node-budget", type=int, default=100000, help="out-game node limit")
     p.add_argument("--time-budget-ms", type=int, default=0, help="soft wall clock limit (0 = none)")
     p.add_argument("--complete-sinks", action="store_true", help="repair deadlock-check failures with losing sinks")
@@ -75,7 +73,6 @@ def _counter_list(game: IntegerGame, spec: Optional[str]) -> List[str]:
 def _emit(args: argparse.Namespace, payload: Dict[str, object], text_lines: List[str]) -> None:
     if args.format == "json":
         payload["budget"] = {
-            "max_cap": getattr(args, "max_cap", None),
             "node_budget": getattr(args, "node_budget", None),
             "time_budget_ms": getattr(args, "time_budget_ms", None),
         }
@@ -226,7 +223,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return run(args)
-    except (BudgetExceeded, UnknownVerdict) as exc:
+    except BudgetExceeded as exc:
         print("unknown: %s" % exc, file=sys.stderr)
         return EXIT_UNKNOWN
     except (ValueError, OSError, KeyError) as exc:

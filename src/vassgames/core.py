@@ -22,14 +22,12 @@ class BudgetExceeded(RuntimeError):
     """A node, strategy or time budget ran out before the solver finished."""
 
 
-class UnknownVerdict(RuntimeError):
-    """The solver had to give up without a sound verdict."""
-
-
 @dataclass
 class Budget:
-    """Resource limits shared by the solvers.  deadline is a time.monotonic()
-    instant; None disables the time check."""
+    """Resource limits shared by the solvers.  node_budget caps the nodes of
+    one out-game; strategy_budget caps the Player-1 strategies one abstract
+    energy parity solve enumerates; deadline is a time.monotonic() instant,
+    and None disables the time check."""
 
     node_budget: int = 100000
     strategy_budget: int = 200000
@@ -252,38 +250,9 @@ class PartialConfig:
     def drop(self, counter: str) -> "PartialConfig":
         return PartialConfig(self.state, tuple((c, v) for c, v in self.items if c != counter))
 
-    def restrict(self, counters: Iterable[str]) -> "PartialConfig":
-        cs = set(counters)
-        return PartialConfig(self.state, tuple((c, v) for c, v in self.items if c in cs))
-
     def __str__(self) -> str:
         parts = " ".join("%s=%d" % (c, v) for c, v in self.items)
         return self.state + (" " + parts if parts else "")
-
-
-@dataclass(frozen=True)
-class IntConfig:
-    """A state plus a total integer valuation; values may go negative (energy)."""
-
-    state: str
-    items: Tuple[Tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", _norm_items(self.items))
-
-    @staticmethod
-    def make(state: str, valuation: Mapping[str, int]) -> "IntConfig":
-        return IntConfig(state, tuple(valuation.items()))
-
-    @property
-    def valuation(self) -> Dict[str, int]:
-        return dict(self.items)
-
-    def get(self, counter: str) -> int:
-        for c, v in self.items:
-            if c == counter:
-                return v
-        raise KeyError(counter)
 
 
 def leq(a: PartialConfig, b: PartialConfig) -> bool:
@@ -298,19 +267,6 @@ def leq(a: PartialConfig, b: PartialConfig) -> bool:
 
 def lt(a: PartialConfig, b: PartialConfig) -> bool:
     return leq(a, b) and a != b
-
-
-def same_shape(a: PartialConfig, b: PartialConfig) -> bool:
-    return a.state == b.state and a.dom == b.dom
-
-
-def oplus(a: PartialConfig, b: PartialConfig) -> PartialConfig:
-    """Merge two partial configs on the same state with disjoint domains."""
-    if a.state != b.state:
-        raise ValueError("cannot merge configs on different states")
-    if a.dom & b.dom:
-        raise ValueError("domains overlap: %s" % sorted(a.dom & b.dom))
-    return PartialConfig(a.state, a.items + b.items)
 
 
 class Antichain:

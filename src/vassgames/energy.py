@@ -14,7 +14,7 @@ support pruning.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _simplex
 from .core import (
@@ -22,10 +22,8 @@ from .core import (
     BudgetExceeded,
     IntegerGame,
     NOP_OP,
-    PartialConfig,
     State,
     Transition,
-    UnknownVerdict,
 )
 from .parity import FiniteParityGame, solve_parity
 
@@ -247,9 +245,10 @@ def solve_abstract_energy_parity(
     """Per-state winner (0 or 1) of the parity-and-stay-nonnegative objective
     for some sufficiently large initial credit.
 
-    Requires a deadlock-free game (syntactic check).  Raises BudgetExceeded /
-    UnknownVerdict when the Player-1 strategy space is too large to enumerate
-    and the bounded fallback cannot settle every state."""
+    Requires a deadlock-free game (syntactic check).  Enumeration stops as
+    soon as no state is left winning for Player 0; it raises BudgetExceeded
+    once more than budget.strategy_budget Player-1 strategies have been
+    enumerated, or when the deadline passes."""
     budget = budget or Budget()
     # energy semantics never disables a move, so only sinks are a problem
     bad = [s.name for s in game.states if not game.out(s.name)]
@@ -286,17 +285,16 @@ def solve_abstract_energy_parity(
         else:
             fixed_edges.extend(es)
 
-    count = 1
-    for es in p1_choices:
-        count *= len(es)
-    if count > budget.strategy_budget:
-        return _fallback_bounded(game, budget)
-
     n = len(names)
     win = set(range(n))
     ticks = 0
     for combo in itertools.product(*p1_choices):
         ticks += 1
+        if ticks > budget.strategy_budget:
+            raise BudgetExceeded(
+                "abstract energy parity solver: strategy budget of %d Player-1 strategies exceeded"
+                % budget.strategy_budget
+            )
         if ticks % 256 == 0:
             budget.check_time()
         edges = fixed_edges + list(combo)
@@ -304,33 +302,6 @@ def solve_abstract_energy_parity(
         if not win:
             break
     return {q: (0 if idx[q] in win else 1) for q in names}
-
-
-def _fallback_bounded(game: IntegerGame, budget: Budget) -> Dict[str, int]:
-    """Last resort when enumeration is too large: confirm Player-0 wins with
-    the sound saturating cap oracle at growing credits; anything left open is
-    reported honestly as unknown."""
-    from .bounded import WIN0, bracket_decide
-    from .semantics import ENERGY
-
-    result: Dict[str, int] = {}
-    open_states = []
-    for q in game.state_names():
-        decided = False
-        for credit in (0, 1, 2, 4, 8):
-            gamma = PartialConfig.make(q, {c: credit for c in game.counters})
-            if bracket_decide(game, ENERGY, gamma) == WIN0:
-                result[q] = 0
-                decided = True
-                break
-        if not decided:
-            open_states.append(q)
-    if open_states:
-        raise UnknownVerdict(
-            "strategy budget exceeded and bounded fallback left states open: %s"
-            % ", ".join(open_states)
-        )
-    return result
 
 
 def energy_to_single_sided(game: IntegerGame) -> IntegerGame:

@@ -4,30 +4,18 @@ Two readings of the counter updates:
 
 * energy: counters range over the integers, every transition is always
   enabled, and Player 0 additionally has to keep all counters nonnegative
-  (checked by the objective, not by the step function);
+  (checked by the objective, not by enabledness);
 * vass: counters range over the naturals, a Dec on a defined counter at 0 is
   disabled.  Updates on undefined counters keep them undefined.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .core import DEC, INC, IntConfig, IntegerGame, PartialConfig
+from .core import DEC, IntegerGame, PartialConfig
 
 ENERGY = "energy"
 VASS = "vass"
-
-
-def energy_step(game: IntegerGame, cfg: IntConfig, tid: str) -> IntConfig:
-    """Apply a transition under energy semantics (always enabled)."""
-    t = game.transition(tid)
-    if t.source != cfg.state:
-        raise ValueError("transition %s does not start at %s" % (tid, cfg.state))
-    vals = cfg.valuation
-    if t.op.counter is not None:
-        vals[t.op.counter] = vals[t.op.counter] + t.op.delta
-    return IntConfig.make(t.target, vals)
 
 
 def vass_step(game: IntegerGame, cfg: PartialConfig, tid: str) -> Optional[PartialConfig]:
@@ -62,35 +50,3 @@ def enabled_transitions(game: IntegerGame, cfg: PartialConfig, semantics: str) -
             continue
         enabled.append(t.tid)
     return tuple(enabled)
-
-
-@dataclass(frozen=True)
-class Play:
-    """A finite play prefix: a start config and the transition ids taken."""
-
-    start: PartialConfig
-    steps: Tuple[str, ...]
-
-    def configs(self, game: IntegerGame, semantics: str) -> List[PartialConfig]:
-        """All configs visited; raises if a step is disabled."""
-        cur = self.start
-        out = [cur]
-        for tid in self.steps:
-            if semantics == VASS:
-                nxt = vass_step(game, cur, tid)
-                if nxt is None:
-                    raise ValueError("disabled transition %s at %s" % (tid, cur))
-                cur = nxt
-            else:
-                t = game.transition(tid)
-                if t.source != cur.state:
-                    raise ValueError("transition %s does not start at %s" % (tid, cur.state))
-                vals = cur.valuation
-                c = t.op.counter
-                if c is not None and c in vals:
-                    vals[c] = vals[c] + t.op.delta
-                    if vals[c] < 0:
-                        raise ValueError("energy play went negative on %s" % c)
-                cur = PartialConfig.make(t.target, vals)
-            out.append(cur)
-        return out

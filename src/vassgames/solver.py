@@ -131,6 +131,13 @@ def build_out_game(
             edges.append((q, q, NOP_OP, None))
             preds[q].append(q)
             continue
+        # anc is every node with a path to q in the out-game built so far,
+        # not only q's branch of the unfolding tree.  Every such node is
+        # reachable from the root, so it precedes q on some play and a label
+        # below q's is a pumping witness as on the branch.  Merges make many
+        # paths into q, and the wider set lets merges and winning leaves fire
+        # sooner: the branch alone gave the same frontiers on random games
+        # but out-games several times larger, slower and heavier in memory.
         anc = ancestors(q)
         if any(lt(labels[a], lab) for a in anc):
             color[q] = 0
@@ -331,16 +338,3 @@ def pareto_single_sided_vass(
     under VASS semantics, for a single-sided game."""
     table = ParetoTable(game, budget)
     return table.frontier(frozenset(counters))
-
-
-def membership(
-    game: IntegerGame,
-    gamma: PartialConfig,
-    counters: Iterable[str],
-    table: Optional[ParetoTable] = None,
-    budget: Optional[Budget] = None,
-) -> bool:
-    """Membership of gamma's instantiations in the Player-0 winning set with
-    tracked counters C (see ParetoTable.membership)."""
-    table = table or ParetoTable(game, budget)
-    return table.membership(gamma, frozenset(counters))

@@ -1,10 +1,13 @@
 """Capped solving and the bracket oracle: soundness directions, monotone
 regions, and frozen verdicts for the worked two-state pump game."""
+import ast
+import os
 import random
 
 import pytest
 
 from helpers import random_counter_game
+import vassgames
 from vassgames.bounded import (
     OVERFLOW_WINS_P0,
     SATURATE,
@@ -116,3 +119,30 @@ def test_energy_vs_vass_on_single_sided():
                     assert e == w
                     checked += 1
     assert checked > 20
+
+
+def package_imports(module):
+    """Names of the vassgames modules a source file imports, at any depth."""
+    path = os.path.join(os.path.dirname(vassgames.__file__), module + ".py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and not node.module:  # from . import x
+                found.update(a.name for a in node.names)
+            elif node.level or node.module.startswith("vassgames."):
+                found.add(node.module.split(".")[-1])
+            elif node.module == "vassgames":
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[-1] for a in node.names if a.name.startswith("vassgames."))
+    return found
+
+
+def test_oracle_and_solver_are_independent():
+    # the oracle is the reference the solver is checked against, so neither
+    # may call into the other
+    assert package_imports("bounded").isdisjoint({"solver", "energy", "applications"})
+    assert "bounded" not in package_imports("solver")
+    assert "bounded" not in package_imports("energy")

@@ -1,6 +1,7 @@
 """Command line front end: golden outputs, exit codes, file formats."""
 import json
 import os
+import time
 
 import pytest
 
@@ -62,6 +63,23 @@ class TestExitCodes:
         )
         code, out, _ = run_cli(capsys, "oracle", str(p), "--config", "q0 c=0", "--cap", "8")
         assert code == 3 and out.strip() == "Unknown"
+
+    def test_deadline_stops_strategy_enumeration(self, capsys, tmp_path):
+        # over 200,000 Player-1 strategies, none of which empties Player 0's
+        # winning set early
+        p = tmp_path / "big.game"
+        p.write_text(formats.print_game(*formats.generate_game(0, 60, 1)))
+        t0 = time.monotonic()
+        code, _, err = run_cli(capsys, "pareto", str(p), "--time-budget-ms", "1000")
+        assert code == 3 and "time budget" in err
+        assert time.monotonic() - t0 < 5.0
+
+    def test_large_strategy_product_decided(self, capsys, tmp_path):
+        p = tmp_path / "wide.game"
+        p.write_text(formats.print_game(*formats.generate_game(30, 40, 1)))
+        code, out, _ = run_cli(capsys, "pareto", str(p), "--format", "json")
+        assert code == 0
+        assert all(v == [] for v in json.loads(out)["frontier"].values())
 
 
 class TestCheck:

@@ -1,4 +1,4 @@
-"""Core types: orderings, merge, antichains, ideal complements, validation."""
+"""Core types: orderings, antichains, ideal complements, validation."""
 import itertools
 
 import pytest
@@ -21,7 +21,6 @@ from vassgames.core import (
     is_single_sided,
     leq,
     lt,
-    oplus,
 )
 
 COUNTERS = ("c1", "c2")
@@ -76,19 +75,9 @@ class TestOrdering:
         if leq(a, b) and leq(b, c):
             assert leq(a, c)
 
-    def test_oplus(self):
-        merged = oplus(pc("q", c1=1), pc("q", c2=2))
-        assert merged == pc("q", c1=1, c2=2)
-        with pytest.raises(ValueError):
-            oplus(pc("q", c1=1), pc("q", c1=2))
-        with pytest.raises(ValueError):
-            oplus(pc("q", c1=1), pc("p", c2=2))
-
     def test_restrict_and_drop(self):
         g = pc("q", c1=1, c2=2)
-        assert g.restrict(["c1"]) == pc("q", c1=1)
         assert g.drop("c2") == pc("q", c1=1)
-        assert oplus(g.restrict(["c1"]), g.restrict(["c2"])) == g
 
 
 class TestAntichain:

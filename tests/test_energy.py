@@ -8,6 +8,8 @@ from helpers import random_counter_game
 from vassgames._simplex import feasible
 from vassgames.bounded import UNKNOWN, WIN0, WIN1, bracket_decide
 from vassgames.core import (
+    Budget,
+    BudgetExceeded,
     IntegerGame,
     NOP_OP,
     PartialConfig,
@@ -22,6 +24,7 @@ from vassgames.energy import (
     pareto_energy,
     solve_abstract_energy_parity,
 )
+from vassgames.formats import generate_game
 from vassgames.semantics import ENERGY, VASS
 
 G1 = IntegerGame(
@@ -134,6 +137,32 @@ class TestAbstract:
                         assert bracket_decide(g, ENERGY, gamma, max_cap=32) != WIN0
                         checked += 1
         assert checked > 40
+
+
+def all_strategies_lose_for_player1(k):
+    """A ring of k Player-1 states, each with two moves to the next, closed
+    by a pumping Player-0 state: Player 0 wins under all 2**k strategies."""
+    ring = ["p%d" % i for i in range(k)] + ["z"]
+    states = tuple(State(q, 1, 0) for q in ring[:-1]) + (State("z", 0, 0),)
+    trans = [Transition("t%d%s" % (i, side), ring[i], NOP_OP, ring[i + 1])
+             for i in range(k) for side in "ab"]
+    trans.append(Transition("pump", "z", inc("c"), "p0"))
+    return IntegerGame(("c",), states, tuple(trans))
+
+
+class TestStrategyBudget:
+    def test_large_strategy_product_is_enumerated(self):
+        # 209,952 Player-1 strategies, but the first ones already leave
+        # Player 0 no winning state
+        g, _ = generate_game(30, 40, 1)
+        assert set(solve_abstract_energy_parity(g).values()) == {1}
+
+    def test_budget_counts_enumerated_strategies(self):
+        k = 4
+        g = all_strategies_lose_for_player1(k)
+        assert set(solve_abstract_energy_parity(g, Budget(strategy_budget=2 ** k)).values()) == {0}
+        with pytest.raises(BudgetExceeded, match="abstract energy parity solver"):
+            solve_abstract_energy_parity(g, Budget(strategy_budget=2 ** k - 1))
 
 
 class TestEmbedding:

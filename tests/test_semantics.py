@@ -1,8 +1,6 @@
-"""Step semantics: energy vs VASS, undefined counter passthrough, plays."""
-import pytest
-
-from vassgames.core import IntConfig, IntegerGame, NOP_OP, PartialConfig, State, Transition, dec, inc
-from vassgames.semantics import ENERGY, VASS, Play, enabled_transitions, energy_step, vass_step
+"""Step semantics: energy vs VASS enabledness, undefined counter passthrough."""
+from vassgames.core import IntegerGame, NOP_OP, PartialConfig, State, Transition, dec, inc
+from vassgames.semantics import ENERGY, VASS, enabled_transitions, vass_step
 
 GAME = IntegerGame(
     ("c", "d"),
@@ -14,17 +12,6 @@ GAME = IntegerGame(
         Transition("t4", "q0", dec("d"), "q1"),
     ),
 )
-
-
-def test_energy_step_goes_negative():
-    cfg = IntConfig.make("q0", {"c": 0, "d": 0})
-    nxt = energy_step(GAME, cfg, "t1")
-    assert nxt == IntConfig.make("q1", {"c": -1, "d": 0})
-
-
-def test_energy_step_wrong_source():
-    with pytest.raises(ValueError):
-        energy_step(GAME, IntConfig.make("q1", {"c": 0, "d": 0}), "t1")
 
 
 def test_vass_step_disabled_at_zero():
@@ -48,24 +35,3 @@ def test_enabled_transitions():
     assert enabled_transitions(GAME, cfg, ENERGY) == ("t1", "t2", "t4")
     abstract = PartialConfig.make("q0")
     assert enabled_transitions(GAME, abstract, VASS) == ("t1", "t2", "t4")
-
-
-def test_play_configs_vass():
-    play = Play(PartialConfig.make("q0", {"c": 1, "d": 0}), ("t1", "t3", "t2"))
-    cfgs = play.configs(GAME, VASS)
-    assert [c.state for c in cfgs] == ["q0", "q1", "q0", "q0"]
-    assert cfgs[-1] == PartialConfig.make("q0", {"c": 0, "d": 1})
-
-
-def test_play_rejects_disabled_step():
-    play = Play(PartialConfig.make("q0", {"c": 0, "d": 0}), ("t1",))
-    with pytest.raises(ValueError):
-        play.configs(GAME, VASS)
-
-
-def test_play_energy_guard():
-    play = Play(PartialConfig.make("q0", {"c": 0, "d": 0}), ("t1",))
-    with pytest.raises(ValueError):
-        play.configs(GAME, ENERGY)
-    ok = Play(PartialConfig.make("q0", {"c": 2, "d": 0}), ("t1", "t3", "t1"))
-    assert ok.configs(GAME, ENERGY)[-1] == PartialConfig.make("q1", {"c": 0, "d": 0})

@@ -25,7 +25,6 @@ from vassgames.solver import (
     ParetoTable,
     build_out_game,
     covered_by,
-    membership,
     pareto_single_sided_vass,
     vj_minimize,
 )
