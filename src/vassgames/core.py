@@ -10,6 +10,7 @@ coordinates unbounded).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,18 +28,15 @@ class Budget:
     """Resource limits shared by the solvers.  node_budget caps the nodes of
     one out-game; strategy_budget caps the Player-1 strategies one abstract
     energy parity solve enumerates; deadline is a time.monotonic() instant,
-    and None disables the time check."""
+    and None disables the time check, which names the layer it stops."""
 
     node_budget: int = 100000
     strategy_budget: int = 200000
     deadline: Optional[float] = None
 
-    def check_time(self) -> None:
-        if self.deadline is not None:
-            import time
-
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded("time budget exceeded")
+    def check_time(self, layer: str) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time budget exceeded in %s" % layer)
 
 
 @dataclass(frozen=True)

@@ -296,7 +296,7 @@ def solve_abstract_energy_parity(
                 % budget.strategy_budget
             )
         if ticks % 256 == 0:
-            budget.check_time()
+            budget.check_time("abstract energy parity solver")
         edges = fixed_edges + list(combo)
         win &= _one_player_win_set(n, colors, edges, dims)
         if not win:

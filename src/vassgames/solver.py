@@ -34,7 +34,6 @@ from .core import (
     complement_ideals,
     is_single_sided,
     leq,
-    lt,
 )
 from .energy import solve_abstract_energy_parity
 from .semantics import VASS, vass_step
@@ -42,16 +41,34 @@ from .semantics import VASS, vass_step
 EXTRACT_LIMIT = 4096  # safety cap when probing a single coordinate upward
 
 
+Key = Tuple[str, Tuple[int, ...]]  # a label over C: its state and values in sorted counter order
+
+
+def _coverage(beta: Iterable[PartialConfig], C: FrozenSet[str]) -> Callable[[str, Tuple[int, ...]], bool]:
+    """The coverage test for labels over C, with beta grouped once by
+    (state, domain) into value tuples; elements of other domains are never
+    looked up."""
+    index: Dict[Tuple[str, FrozenSet[str]], List[Tuple[int, ...]]] = {}
+    for b in beta:
+        index.setdefault((b.state, b.dom), []).append(tuple(v for _, v in b.items))
+    names = sorted(C)
+    drops = [frozenset(names[:i] + names[i + 1:]) for i in range(len(names))]
+
+    def covered(state: str, vals: Tuple[int, ...]) -> bool:
+        for i, dom in enumerate(drops):
+            rest = vals[:i] + vals[i + 1:]
+            if not any(all(x <= y for x, y in zip(b, rest)) for b in index.get((state, dom), ())):
+                return False
+        return True
+
+    return covered
+
+
 def covered_by(beta: Iterable[PartialConfig], gamma: PartialConfig) -> bool:
     """Coverability of a label against the union of the smaller frontiers:
     for every tracked counter c, dropping c from gamma must land above some
     element of beta (matching state and domain)."""
-    beta = list(beta)
-    for c in sorted(gamma.dom):
-        dropped = gamma.drop(c)
-        if not any(leq(b, dropped) for b in beta):
-            return False
-    return True
+    return _coverage(beta, gamma.dom)(gamma.state, tuple(v for _, v in gamma.items))
 
 
 @dataclass
@@ -73,102 +90,105 @@ def build_out_game(
     """Unfold the game from gamma (domain C nonempty) into a finite game over
     the untracked counters.
 
-    Nodes are labeled with configurations of domain C.  A node whose label is
-    not covered by beta becomes a losing (color 1) leaf; a node whose label
-    strictly dominates an ancestor's becomes a winning (color 0) leaf; other
-    nodes expand along the VASS-enabled transitions, rewriting updates of
-    tracked counters to Nop, and merge with an ancestor carrying an equal
-    label instead of growing a new branch."""
+    Nodes are labeled with configurations of domain C and expanded in
+    breadth-first order.  A node whose label is not covered by beta becomes a
+    losing (color 1) leaf; beta is indexed once by state and domain, so a
+    label is tested only against its own state's elements.  A node whose
+    label strictly dominates an ancestor's becomes a winning (color 0) leaf;
+    the walk back over the predecessor lists stops at the first such
+    ancestor.  Other nodes expand along the VASS-enabled transitions,
+    rewriting updates of tracked counters to Nop, and merge with the earliest
+    created ancestor carrying an equal label, found through a dict from
+    labels to their nodes, instead of growing a new branch."""
     budget = budget or Budget()
     C = gamma.dom
     if not C:
         raise ValueError("build_out_game needs a nonempty tracked domain")
-    beta = list(beta)
+    covered = _coverage(beta, C)
     counters_out = tuple(c for c in game.counters if c not in C)
 
-    labels: Dict[str, PartialConfig] = {}
-    color: Dict[str, int] = {}
-    owner: Dict[str, int] = {}
-    edges: List[Tuple[str, str, object, Optional[str]]] = []  # (src, dst, op, orig tid)
-    preds: Dict[str, List[str]] = {}
-    order: List[str] = []
+    labels: List[PartialConfig] = []
+    keys: List[Key] = []
+    nodes_of: Dict[Key, List[int]] = {}  # label -> its nodes in creation order
+    preds: List[List[int]] = []
+    leaf_color: Dict[int, int] = {}
+    edges: List[Tuple[int, int, object, Optional[str]]] = []  # (src, dst, op, orig tid)
 
-    def new_node(label: PartialConfig) -> str:
-        name = "n%d" % len(order)
-        s = game.state(label.state)
-        labels[name] = label
-        color[name] = s.color
-        owner[name] = s.owner
-        preds[name] = []
-        order.append(name)
-        if len(order) > budget.node_budget:
+    def new_node(label: PartialConfig, key: Key) -> int:
+        if len(labels) >= budget.node_budget:
             raise BudgetExceeded("out-game node budget exceeded")
-        return name
+        n = len(labels)
+        labels.append(label)
+        keys.append(key)
+        nodes_of.setdefault(key, []).append(n)
+        preds.append([])
+        return n
 
-    def ancestors(node: str) -> List[str]:
-        """Nodes that reach node via current out-edges, node included."""
-        seen = {node}
-        stack = [node]
-        while stack:
-            v = stack.pop()
-            for u in preds[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return [n for n in order if n in seen]
-
-    root = new_node(gamma)
+    root = new_node(gamma, (gamma.state, tuple(v for _, v in gamma.items)))
     work = deque([root])
     ticks = 0
     while work:
         ticks += 1
         if ticks % 64 == 0:
-            budget.check_time()
+            budget.check_time("out-game unfolding")
         q = work.popleft()
-        lab = labels[q]
-        if not covered_by(beta, lab):
-            color[q] = 1
+        state, vals = keys[q]
+        if not covered(state, vals):
+            leaf_color[q] = 1
             edges.append((q, q, NOP_OP, None))
             preds[q].append(q)
             continue
-        # anc is every node with a path to q in the out-game built so far,
-        # not only q's branch of the unfolding tree.  Every such node is
-        # reachable from the root, so it precedes q on some play and a label
-        # below q's is a pumping witness as on the branch.  Merges make many
-        # paths into q, and the wider set lets merges and winning leaves fire
-        # sooner: the branch alone gave the same frontiers on random games
-        # but out-games several times larger, slower and heavier in memory.
-        anc = ancestors(q)
-        if any(lt(labels[a], lab) for a in anc):
-            color[q] = 0
+        # The ancestors of q are every node with a path to q in the out-game
+        # built so far, not only q's branch of the unfolding tree.  Every such
+        # node is reachable from the root, so it precedes q on some play and a
+        # label below q's is a pumping witness as on the branch.  Merges make
+        # many paths into q, and the wider set lets merges and winning leaves
+        # fire sooner: the branch alone gave the same frontiers on random
+        # games but out-games several times larger, slower and heavier in
+        # memory.  The walk stops at the first ancestor q dominates; when
+        # there is none it has visited every ancestor, which the merges need.
+        seen = {q}
+        stack = [q]
+        dominates = False
+        while stack and not dominates:
+            for u in preds[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    s, v = keys[u]
+                    if s == state and v != vals and all(x <= y for x, y in zip(v, vals)):
+                        dominates = True
+                        break
+                    stack.append(u)
+        if dominates:
+            leaf_color[q] = 0
             edges.append((q, q, NOP_OP, None))
             preds[q].append(q)
             continue
-        for t in game.out(lab.state):
-            nxt = vass_step(game, lab, t.tid)
+        for t in game.out(state):
+            nxt = vass_step(game, labels[q], t.tid)
             if nxt is None:
                 continue
-            op_out = NOP_OP if (t.op.counter in C) else t.op
-            target = None
-            for a in anc:
-                if labels[a] == nxt:
-                    target = a
-                    break
+            key = (nxt.state, tuple(v for _, v in nxt.items))
+            target = next((n for n in nodes_of.get(key, ()) if n in seen), None)
             if target is None:
-                target = new_node(nxt)
+                target = new_node(nxt, key)
                 work.append(target)
-            edges.append((q, target, op_out, t.tid))
+            edges.append((q, target, NOP_OP if t.op.counter in C else t.op, t.tid))
             preds[target].append(q)
 
-    states = tuple(State(n, owner[n], color[n]) for n in order)
+    names = ["n%d" % n for n in range(len(labels))]
+    states = []
+    for n, label in enumerate(labels):
+        s = game.state(label.state)
+        states.append(State(names[n], s.owner, leaf_color.get(n, s.color)))
     transitions = []
     origin: Dict[str, Optional[str]] = {}
     for i, (src, dst, op, orig) in enumerate(edges):
         tid = "e%d" % i
-        transitions.append(Transition(tid, src, op, dst))  # type: ignore[arg-type]
+        transitions.append(Transition(tid, names[src], op, names[dst]))  # type: ignore[arg-type]
         origin[tid] = orig
-    out_game = IntegerGame(counters_out, states, tuple(transitions))
-    return OutGame(out_game, root, dict(labels), origin)
+    out_game = IntegerGame(counters_out, tuple(states), tuple(transitions))
+    return OutGame(out_game, names[root], dict(zip(names, labels)), origin)
 
 
 class ParetoTable:
@@ -298,7 +318,7 @@ def vj_minimize(
     budget = budget or Budget()
     minima: List[PartialConfig] = []
     while True:
-        budget.check_time()
+        budget.check_time("Valk-Jantzen minimisation")
         ideals = complement_ideals(sorted(minima, key=lambda g: g.items), counters_order, state)
         hit: Optional[PartialConfig] = None
         for ideal in sorted(ideals, key=lambda i: str(i.bounds)):

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from vassgames.applications import (
     And,
@@ -21,6 +22,8 @@ from vassgames.applications import (
     Var,
 )
 from vassgames.core import (
+    Budget,
+    BudgetExceeded,
     CounterOp,
     DEC,
     INC,
@@ -29,8 +32,12 @@ from vassgames.core import (
     PartialConfig,
     State,
     Transition,
+    leq,
+    lt,
 )
 from vassgames.parity import FiniteParityGame
+from vassgames.semantics import vass_step
+from vassgames.solver import OutGame
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +311,128 @@ def mucalc_oracle(vass: IntegerGame, phi, vec_cap: int) -> Set[Tuple[str, Tuple[
         raise TypeError("oracle cannot evaluate %r" % (f,))
 
     return ev(phi, {})
+
+
+# ---------------------------------------------------------------------------
+# reference out-game unfolding: every expansion recomputes the ancestors over
+# all nodes and tests coverage against all of beta.  solver.build_out_game
+# must build the same out-games.
+
+
+def reference_covered_by(beta: Iterable[PartialConfig], gamma: PartialConfig) -> bool:
+    """Coverability of a label against the union of the smaller frontiers:
+    for every tracked counter c, dropping c from gamma must land above some
+    element of beta (matching state and domain)."""
+    beta = list(beta)
+    for c in sorted(gamma.dom):
+        dropped = gamma.drop(c)
+        if not any(leq(b, dropped) for b in beta):
+            return False
+    return True
+
+
+def reference_build_out_game(
+    game: IntegerGame,
+    gamma: PartialConfig,
+    beta: Iterable[PartialConfig],
+    budget: Optional[Budget] = None,
+) -> OutGame:
+    """Unfold the game from gamma (domain C nonempty) into a finite game over
+    the untracked counters.
+
+    Nodes are labeled with configurations of domain C.  A node whose label is
+    not covered by beta becomes a losing (color 1) leaf; a node whose label
+    strictly dominates an ancestor's becomes a winning (color 0) leaf; other
+    nodes expand along the VASS-enabled transitions, rewriting updates of
+    tracked counters to Nop, and merge with an ancestor carrying an equal
+    label instead of growing a new branch."""
+    budget = budget or Budget()
+    C = gamma.dom
+    if not C:
+        raise ValueError("build_out_game needs a nonempty tracked domain")
+    beta = list(beta)
+    counters_out = tuple(c for c in game.counters if c not in C)
+
+    labels: Dict[str, PartialConfig] = {}
+    color: Dict[str, int] = {}
+    owner: Dict[str, int] = {}
+    edges: List[Tuple[str, str, object, Optional[str]]] = []  # (src, dst, op, orig tid)
+    preds: Dict[str, List[str]] = {}
+    order: List[str] = []
+
+    def new_node(label: PartialConfig) -> str:
+        name = "n%d" % len(order)
+        s = game.state(label.state)
+        labels[name] = label
+        color[name] = s.color
+        owner[name] = s.owner
+        preds[name] = []
+        order.append(name)
+        if len(order) > budget.node_budget:
+            raise BudgetExceeded("out-game node budget exceeded")
+        return name
+
+    def ancestors(node: str) -> List[str]:
+        """Nodes that reach node via current out-edges, node included."""
+        seen = {node}
+        stack = [node]
+        while stack:
+            v = stack.pop()
+            for u in preds[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return [n for n in order if n in seen]
+
+    root = new_node(gamma)
+    work = deque([root])
+    ticks = 0
+    while work:
+        ticks += 1
+        if ticks % 64 == 0:
+            budget.check_time("out-game unfolding")
+        q = work.popleft()
+        lab = labels[q]
+        if not reference_covered_by(beta, lab):
+            color[q] = 1
+            edges.append((q, q, NOP_OP, None))
+            preds[q].append(q)
+            continue
+        # anc is every node with a path to q in the out-game built so far,
+        # not only q's branch of the unfolding tree.  Every such node is
+        # reachable from the root, so it precedes q on some play and a label
+        # below q's is a pumping witness as on the branch.  Merges make many
+        # paths into q, and the wider set lets merges and winning leaves fire
+        # sooner: the branch alone gave the same frontiers on random games
+        # but out-games several times larger, slower and heavier in memory.
+        anc = ancestors(q)
+        if any(lt(labels[a], lab) for a in anc):
+            color[q] = 0
+            edges.append((q, q, NOP_OP, None))
+            preds[q].append(q)
+            continue
+        for t in game.out(lab.state):
+            nxt = vass_step(game, lab, t.tid)
+            if nxt is None:
+                continue
+            op_out = NOP_OP if (t.op.counter in C) else t.op
+            target = None
+            for a in anc:
+                if labels[a] == nxt:
+                    target = a
+                    break
+            if target is None:
+                target = new_node(nxt)
+                work.append(target)
+            edges.append((q, target, op_out, t.tid))
+            preds[target].append(q)
+
+    states = tuple(State(n, owner[n], color[n]) for n in order)
+    transitions = []
+    origin: Dict[str, Optional[str]] = {}
+    for i, (src, dst, op, orig) in enumerate(edges):
+        tid = "e%d" % i
+        transitions.append(Transition(tid, src, op, dst))  # type: ignore[arg-type]
+        origin[tid] = orig
+    out_game = IntegerGame(counters_out, states, tuple(transitions))
+    return OutGame(out_game, root, dict(labels), origin)

@@ -71,7 +71,7 @@ class TestExitCodes:
         p.write_text(formats.print_game(*formats.generate_game(0, 60, 1)))
         t0 = time.monotonic()
         code, _, err = run_cli(capsys, "pareto", str(p), "--time-budget-ms", "1000")
-        assert code == 3 and "time budget" in err
+        assert code == 3 and "time budget exceeded in abstract energy parity solver" in err
         assert time.monotonic() - t0 < 5.0
 
     def test_large_strategy_product_decided(self, capsys, tmp_path):

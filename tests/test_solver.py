@@ -1,10 +1,11 @@
 """Out-game construction, Valk-Jantzen minimization and Pareto frontiers."""
 import itertools
 import random
+import time
 
 import pytest
 
-from helpers import random_counter_game
+from helpers import random_counter_game, reference_build_out_game, reference_covered_by
 from vassgames.bounded import WIN0, WIN1, bracket_decide
 from vassgames.core import (
     Antichain,
@@ -57,6 +58,27 @@ class TestCoveredBy:
         assert covered_by(beta, pc("q", c1=3))
         assert not covered_by(beta, pc("p", c1=3))
 
+    def test_other_states_and_domains_ignored(self):
+        gamma = pc("q", c1=0, c2=7)
+        noise = [pc("p", c1=0), pc("p", c2=0), pc("q", c1=0, c2=0), pc("q", c3=0), pc("q")]
+        assert not covered_by(noise, gamma)
+        # the c1-drop {c2: 7} is now covered, the c2-drop {c1: 0} not yet
+        assert not covered_by(noise + [pc("q", c2=7), pc("q", c1=1)], gamma)
+        assert covered_by(noise + [pc("q", c2=7), pc("q", c1=0)], gamma)
+        for beta in (noise, noise + [pc("q", c2=7), pc("q", c1=0)]):
+            assert covered_by(beta, gamma) == reference_covered_by(beta, gamma)
+
+    def test_empty_beta(self):
+        assert not covered_by([], pc("q", c1=0))
+        assert not covered_by([], pc("q", c1=5, c2=5))
+        # an empty domain drops no counter, so it is vacuously covered
+        assert covered_by([], pc("q"))
+
+    def test_single_counter_needs_empty_domain_at_same_state(self):
+        gamma = pc("q", c=3)
+        assert not covered_by([pc("p"), pc("q", c=0)], gamma)
+        assert covered_by([pc("p"), pc("q", c=0), pc("q")], gamma)
+
 
 class TestOutGame:
     def test_uncovered_root_is_losing_leaf(self):
@@ -97,6 +119,48 @@ class TestOutGame:
         g = IntegerGame(("c",), (State("q", 0, 1),), (Transition("t", "q", inc("c"), "q"),))
         with pytest.raises(BudgetExceeded):
             build_out_game(g, pc("q", c=0), beta=[pc("q")], budget=Budget(node_budget=1))
+
+    def test_deadline_names_out_game_unfolding(self):
+        # a countdown unfolds one node per value, past the 64-expansion check
+        g = IntegerGame(("c",), (State("q", 0, 1),), (Transition("t", "q", dec("c"), "q"),))
+        budget = Budget(deadline=time.monotonic() - 1.0)
+        with pytest.raises(BudgetExceeded, match="time budget exceeded in out-game unfolding"):
+            build_out_game(g, pc("q", c=200), beta=[pc("q")], budget=budget)
+
+
+class TestOutGameAgainstReference:
+    """build_out_game must give the same out-game, field for field, as the
+    builder it replaced (helpers.reference_build_out_game)."""
+
+    def test_random_single_sided_games(self):
+        games = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = random_counter_game(rng, rng.randint(2, 4), rng.choice([1, 2]), single_sided=True)
+            table = ParetoTable(g)
+            for r in range(1, len(g.counters) + 1):
+                for C in itertools.combinations(g.counters, r):
+                    beta = table._beta(frozenset(C))
+                    for q in g.state_names():
+                        for vals in itertools.product(range(4), repeat=r):
+                            gamma = PartialConfig.make(q, dict(zip(C, vals)))
+                            assert build_out_game(g, gamma, beta) == reference_build_out_game(g, gamma, beta), (
+                                seed, str(gamma))
+            games += 1
+        assert games == 300
+
+    def test_earliest_equal_label_wins(self):
+        # seed 9: n7 and n10 are both labeled q1 c1=1 and both reach n10 when
+        # it expands, so its c2-increment loop merges into the earlier n7
+        rng = random.Random(9)
+        g = random_counter_game(rng, rng.randint(2, 4), rng.choice([1, 2]), single_sided=True)
+        beta = ParetoTable(g)._beta(frozenset({"c1"}))
+        gamma = pc("q0", c1=2)
+        out = build_out_game(g, gamma, beta)
+        assert out == reference_build_out_game(g, gamma, beta)
+        assert out.labels["n7"] == out.labels["n10"] == pc("q1", c1=1)
+        loops = [t for t in out.game.out("n10") if out.origin[t.tid] == "t3"]
+        assert [t.target for t in loops] == ["n7"]
 
 
 def check_label_invariant(game: IntegerGame, out: OutGame) -> None:
