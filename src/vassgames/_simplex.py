@@ -1,13 +1,31 @@
-"""Exact rational feasibility check for small linear systems.
+"""Exact integer feasibility check for small linear systems.
 
-Phase-1 simplex over fractions with Bland's rule; used to test whether a
-circulation with prescribed support and componentwise nonnegative effect
-exists.  Problem sizes here are tiny, so clarity beats speed.
+Phase-1 simplex with Bland's rule; used to test whether a circulation with
+prescribed support and componentwise nonnegative effect exists.
+
+The tableau is fraction-free: every row, and the phase-1 objective row, is
+kept as Python ints equal to the rational row times some positive scale.  A
+pivot on (leave, enter) with p = T[leave][enter] > 0 replaces each other row
+by p*row - T[i][enter]*row_leave, which is the rational update times the
+positive factor p times the two rows' scales, and then divides the row by the
+gcd of its entries.  Every decision reads only signs and ratios of entries
+within one row, which a positive scale leaves unchanged: the entering column
+is the smallest non-artificial one with positive objective coefficient, and
+the leaving row minimises rhs_i/a_i over a_i > 0, compared by
+cross-multiplying (both denominators are positive), ties going to the
+smaller basic variable.  So the pivot sequence and the answer are those of
+the same simplex over rationals, without rational arithmetic.  Artificial
+columns are never read by a decision, so they are not stored.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple
+
+
+def _normalised(row: List[int]) -> List[int]:
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
 def feasible(
@@ -17,69 +35,46 @@ def feasible(
     lower: Sequence[int],
 ) -> bool:
     """Is there a rational x with A_eq x = b_eq, A_ge x >= b_ge, x >= lower?"""
-    # shift to y = x - lower >= 0
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    # shift to y = x - lower >= 0; each >= row gets a surplus column
     n_surplus = len(ge_rows)
     ncols = num_vars + n_surplus
-    for coeffs, b in eq_rows:
-        shift = sum(c * l for c, l in zip(coeffs, lower))
-        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * n_surplus
-        rows.append(row)
-        rhs.append(Fraction(b - shift))
-    for j, (coeffs, b) in enumerate(ge_rows):
-        shift = sum(c * l for c, l in zip(coeffs, lower))
-        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * n_surplus
-        row[num_vars + j] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(b - shift))
-    m = len(rows)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
-    # artificial variable per row; minimize their sum
-    basis = [ncols + i for i in range(m)]
-    total = ncols + m
-    tableau = []
-    for i in range(m):
-        row = rows[i] + [Fraction(0)] * m + [rhs[i]]
-        row[ncols + i] = Fraction(1)
-        tableau.append(row)
-    obj = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            obj[j] += tableau[i][j]
-    for j in range(ncols, total):
-        obj[j] = Fraction(0)  # artificials priced out while basic
+    tableau: List[List[int]] = []
+    for j, (coeffs, b) in enumerate(list(eq_rows) + list(ge_rows)):
+        row = list(coeffs) + [0] * n_surplus + [b - sum(c * l for c, l in zip(coeffs, lower))]
+        if j >= len(eq_rows):
+            row[num_vars + j - len(eq_rows)] = -1
+        tableau.append(row if row[-1] >= 0 else [-a for a in row])
+    # an artificial variable per row is basic; minimise their sum
+    basis = [ncols + i for i in range(len(tableau))]
+    obj = [sum(row[j] for row in tableau) for j in range(ncols + 1)]
 
     while True:
-        enter = -1
-        for j in range(ncols):  # Bland: smallest improving non-artificial column
-            if obj[j] > 0:
-                enter = j
-                break
+        # Bland: smallest improving non-artificial column
+        enter = next((j for j in range(ncols) if obj[j] > 0), -1)
         if enter < 0:
-            return obj[total] == 0
+            return obj[-1] == 0
         leave = -1
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][total] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # rhs_i / a < rhs_leave / a_leave, both denominators positive
+                lhs = row[-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # unbounded phase-1 objective cannot happen; treat as no progress
-            return obj[total] == 0
-        piv = tableau[leave][enter]
-        tableau[leave] = [a / piv for a in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+            return obj[-1] == 0
+        prow = tableau[leave]
+        p = prow[enter]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            if i != leave and f:
+                tableau[i] = _normalised([p * a - f * b for a, b in zip(row, prow)])
+        f = obj[enter]
+        if f:
+            obj = _normalised([p * a - f * b for a, b in zip(obj, prow)])
         basis[leave] = enter

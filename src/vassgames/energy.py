@@ -8,7 +8,7 @@ one-player graph: Player 0 wins from a state iff it can reach a vertex v of
 even color d that lies on a closed walk with componentwise nonnegative effect
 inside the subgraph of colors <= d.  Closed-walk existence is a circulation
 feasibility question; for one counter it reduces to longest-path reasoning
-and for more counters it is decided exactly with a rational simplex plus
+and for more counters it is decided with an exact integer simplex plus
 support pruning.
 """
 from __future__ import annotations
@@ -295,8 +295,7 @@ def solve_abstract_energy_parity(
                 "abstract energy parity solver: strategy budget of %d Player-1 strategies exceeded"
                 % budget.strategy_budget
             )
-        if ticks % 256 == 0:
-            budget.check_time("abstract energy parity solver")
+        budget.check_time("abstract energy parity solver")
         edges = fixed_edges + list(combo)
         win &= _one_player_win_set(n, colors, edges, dims)
         if not win:

@@ -142,8 +142,8 @@ def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[Vertex], FrozenSet[V
         return w0, w1q, s0, s1q
 
     w0, w1, s0, s1 = solve(set(range(n)))
-    strat0 = Strategy(0, tuple(sorted(((ids[v], ids[w]) for v, w in s0.items()), key=lambda p: str(p))))
-    strat1 = Strategy(1, tuple(sorted(((ids[v], ids[w]) for v, w in s1.items()), key=lambda p: str(p))))
+    strat0 = Strategy(0, tuple((ids[v], ids[w]) for v, w in sorted(s0.items())))
+    strat1 = Strategy(1, tuple((ids[v], ids[w]) for v, w in sorted(s1.items())))
     return frozenset(ids[v] for v in w0), frozenset(ids[v] for v in w1), strat0, strat1
 
 

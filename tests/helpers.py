@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from vassgames.applications import (
@@ -436,3 +437,84 @@ def reference_build_out_game(
         origin[tid] = orig
     out_game = IntegerGame(counters_out, states, tuple(transitions))
     return OutGame(out_game, root, dict(labels), origin)
+
+
+# ---------------------------------------------------------------------------
+# reference feasibility kernel: the phase-1 simplex over fractions that
+# _simplex.feasible replaced.  Both use Bland's rule with the same tie-break,
+# so they must give the same answer on every system.
+
+
+def reference_feasible(
+    num_vars: int,
+    eq_rows: Sequence[Tuple[Sequence[int], int]],
+    ge_rows: Sequence[Tuple[Sequence[int], int]],
+    lower: Sequence[int],
+) -> bool:
+    """Is there a rational x with A_eq x = b_eq, A_ge x >= b_ge, x >= lower?"""
+    # shift to y = x - lower >= 0
+    rows: List[List[Fraction]] = []
+    rhs: List[Fraction] = []
+    n_surplus = len(ge_rows)
+    ncols = num_vars + n_surplus
+    for coeffs, b in eq_rows:
+        shift = sum(c * l for c, l in zip(coeffs, lower))
+        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * n_surplus
+        rows.append(row)
+        rhs.append(Fraction(b - shift))
+    for j, (coeffs, b) in enumerate(ge_rows):
+        shift = sum(c * l for c, l in zip(coeffs, lower))
+        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * n_surplus
+        row[num_vars + j] = Fraction(-1)
+        rows.append(row)
+        rhs.append(Fraction(b - shift))
+    m = len(rows)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-a for a in rows[i]]
+            rhs[i] = -rhs[i]
+    # artificial variable per row; minimize their sum
+    basis = [ncols + i for i in range(m)]
+    total = ncols + m
+    tableau = []
+    for i in range(m):
+        row = rows[i] + [Fraction(0)] * m + [rhs[i]]
+        row[ncols + i] = Fraction(1)
+        tableau.append(row)
+    obj = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        for j in range(total + 1):
+            obj[j] += tableau[i][j]
+    for j in range(ncols, total):
+        obj[j] = Fraction(0)  # artificials priced out while basic
+
+    while True:
+        enter = -1
+        for j in range(ncols):  # Bland: smallest improving non-artificial column
+            if obj[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            return obj[total] == 0
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][total] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            # unbounded phase-1 objective cannot happen; treat as no progress
+            return obj[total] == 0
+        piv = tableau[leave][enter]
+        tableau[leave] = [a / piv for a in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+        basis[leave] = enter

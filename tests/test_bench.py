@@ -33,3 +33,13 @@ def test_frontier_1c_checks_pass():
 def test_mucalc_weaksim_checks_pass():
     result = run_bench("mucalc-weaksim")
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_frontier_2c_checks_pass():
+    result = run_bench("frontier-2c")
+    assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_oracle_checks_pass():
+    result = run_bench("oracle")
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -74,6 +74,17 @@ class TestExitCodes:
         assert code == 3 and "time budget exceeded in abstract energy parity solver" in err
         assert time.monotonic() - t0 < 5.0
 
+    def test_deadline_checked_on_every_strategy(self, capsys, tmp_path):
+        # a 20-state, 2-counter game whose Player-1 strategies each pose
+        # many cycle tests: a check every 256 strategies ran for over a
+        # minute past a 2 s deadline
+        p = tmp_path / "slow.game"
+        p.write_text(formats.print_game(*formats.generate_game(6, 20, 2)))
+        t0 = time.monotonic()
+        code, _, err = run_cli(capsys, "pareto", str(p), "--time-budget-ms", "2000")
+        assert code == 3 and "time budget exceeded in abstract energy parity solver" in err
+        assert time.monotonic() - t0 < 3.5
+
     def test_large_strategy_product_decided(self, capsys, tmp_path):
         p = tmp_path / "wide.game"
         p.write_text(formats.print_game(*formats.generate_game(30, 40, 1)))

@@ -1,10 +1,11 @@
 """Abstract energy parity solving, the single-sided embedding, and the
-rational feasibility kernel."""
+exact integer feasibility kernel."""
 import random
 
 import pytest
 
-from helpers import random_counter_game
+from helpers import random_counter_game, reference_feasible
+from vassgames import _simplex
 from vassgames._simplex import feasible
 from vassgames.bounded import UNKNOWN, WIN0, WIN1, bracket_decide
 from vassgames.core import (
@@ -59,6 +60,38 @@ class TestSimplex:
         assert feasible(2, [], [([1, -1], 0), ([-1, 2], 0)], [1, 1])
         # but (1,-1) with (-1,0) cannot compensate dimension 2
         assert not feasible(2, [], [([1, -1], 0), ([-1, 0], 0)], [1, 1])
+
+    def test_agrees_with_fraction_simplex_on_random_systems(self):
+        rng = random.Random(5)
+        answers = []
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            eq = [([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2)) for _ in range(rng.randint(0, 5))]
+            ge = [([rng.randint(-3, 3) for _ in range(n)], rng.randint(-2, 2)) for _ in range(rng.randint(0, 4))]
+            lower = [rng.randint(0, 1) for _ in range(n)]
+            answer = feasible(n, eq, ge, lower)
+            assert answer == reference_feasible(n, eq, ge, lower), (n, eq, ge, lower)
+            answers.append(answer)
+        assert True in answers and False in answers
+
+    def test_agrees_with_fraction_simplex_on_pareto_energy(self, monkeypatch):
+        # every distinct cycle-test system the abstract solver poses on
+        # general two- and three-counter games
+        posed = set()
+
+        def recording(num_vars, eq_rows, ge_rows, lower):
+            posed.add((num_vars, tuple((tuple(c), b) for c, b in eq_rows),
+                       tuple((tuple(c), b) for c, b in ge_rows), tuple(lower)))
+            return feasible(num_vars, eq_rows, ge_rows, lower)
+
+        monkeypatch.setattr(_simplex, "feasible", recording)
+        rng = random.Random(2)
+        for i in range(24):
+            g = random_counter_game(rng, rng.randint(2, 4), 2 + i % 2, single_sided=False)
+            pareto_energy(g, g.counters)
+        answers = [feasible(*args) for args in posed]
+        assert answers == [reference_feasible(*args) for args in posed]
+        assert True in answers and False in answers
 
 
 class TestAbstract:
