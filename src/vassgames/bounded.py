@@ -12,9 +12,10 @@ grid and bracket the unbounded verdict between two cap treatments.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import itertools
+from typing import Dict, Tuple
 
-from .core import DEC, IntegerGame, PartialConfig, is_single_sided
+from .core import IntegerGame, PartialConfig, is_single_sided
 from .parity import FiniteParityGame, solve_parity
 from .semantics import ENERGY, VASS
 
@@ -24,9 +25,6 @@ OVERFLOW_WINS_P0 = "overflow-wins-p0"
 WIN0 = "win0"
 WIN1 = "win1"
 UNKNOWN = "unknown"
-
-_OVER = ("__overflow",)
-_UNDER = ("__underflow",)
 
 
 def solve_capped(
@@ -39,6 +37,14 @@ def solve_capped(
 
     Configurations are keyed by (state, value vector in game.counters order).
     A side with no enabled move loses.
+
+    The grid is solved as a FiniteParityGame numbered from game.moves:
+    vertex 0 is the overflow sink and 1 the underflow sink, state s at
+    vector vec is 2 + s*|grid| + rank(vec), where rank reads vec as a mixed
+    radix number in base cap+1 with the last counter fastest, and the sinks
+    of stuck configurations come last.  A move that changes counter c by
+    delta therefore leads delta*stride[c] away from its target's vertex at
+    the same vector, with stride[c] = (cap+1)**(k-1-c) for k counters.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -49,70 +55,46 @@ def solve_capped(
     if semantics == VASS and mode == SATURATE and not is_single_sided(game):
         raise ValueError("saturate mode under VASS semantics needs a single-sided game")
 
-    counters = game.counters
-    k = len(counters)
-    cidx = {c: i for i, c in enumerate(counters)}
-
-    vertices = [(_OVER, 0, 0), (_UNDER, 0, 1)]
-    edges = [(_OVER, _OVER), (_UNDER, _UNDER)]
-    stuck_sink = {}  # owner -> sink vertex, for configs with no enabled move
-
-    def vectors(i: int):
-        if i == 0:
-            yield ()
-            return
-        for rest in vectors(i - 1):
-            for v in range(cap + 1):
-                yield rest + (v,)
-
-    grid = list(vectors(k))
-    for s in game.states:
-        for vec in grid:
-            vertices.append(((s.name, vec), s.owner, s.color))
-    for s in game.states:
-        outs = game.out(s.name)
-        for vec in grid:
-            src = (s.name, vec)
-            added = False
-            for t in outs:
-                if t.op.counter is None:
-                    edges.append((src, (t.target, vec)))
-                    added = True
-                    continue
-                i = cidx[t.op.counter]
-                nv = vec[i] + t.op.delta
-                if nv < 0:
-                    if semantics == VASS:
-                        continue  # disabled
-                    edges.append((src, _UNDER))
-                    added = True
-                    continue
-                if nv > cap:
-                    if mode == SATURATE:
-                        nv = cap
-                        edges.append((src, (t.target, vec[:i] + (nv,) + vec[i + 1:])))
+    k = len(game.counters)
+    grid = list(itertools.product(range(cap + 1), repeat=k))  # in rank order
+    size = len(grid)
+    stride = [(cap + 1) ** (k - 1 - c) for c in range(k)]
+    # overflow wins for Player 0, underflow loses
+    vertices = [(0, 0), (0, 1)] + [(s.owner, s.color) for s in game.states for _ in grid]
+    succ = [(0,), (1,)]
+    stuck_sink: Dict[int, int] = {}  # owner -> sink vertex, for configs with no enabled move
+    for s, moves in zip(game.states, game.moves):
+        for r, vec in enumerate(grid):
+            out = []
+            for dst, c, delta in moves:
+                w = 2 + dst * size + r
+                if c >= 0:
+                    nv = vec[c] + delta
+                    if nv < 0:
+                        if semantics == VASS:
+                            continue  # disabled
+                        w = 1
+                    elif nv > cap:
+                        if mode == OVERFLOW_WINS_P0:
+                            w = 0  # else saturate: the value stays at cap
                     else:
-                        edges.append((src, _OVER))
-                    added = True
-                    continue
-                edges.append((src, (t.target, vec[:i] + (nv,) + vec[i + 1:])))
-                added = True
-            if not added:
+                        w += delta * stride[c]
+                out.append(w)
+            if not out:
                 # stuck: the owner loses
                 if s.owner not in stuck_sink:
-                    sink = ("__stuck", s.owner)
-                    stuck_sink[s.owner] = sink
-                    vertices.append((sink, 0, 1 if s.owner == 0 else 0))
-                    edges.append((sink, sink))
-                edges.append((src, stuck_sink[s.owner]))
+                    stuck_sink[s.owner] = len(vertices)
+                    vertices.append((0, 1 if s.owner == 0 else 0))
+                out.append(stuck_sink[s.owner])
+            succ.append(tuple(out))
+    succ.extend((v,) for v in stuck_sink.values())
 
-    fg = FiniteParityGame(tuple(vertices), tuple(edges))
-    w0, _, _, _ = solve_parity(fg)
-    result: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-    for s in game.states:
-        for vec in grid:
-            result[(s.name, vec)] = 0 if (s.name, vec) in w0 else 1
-    return result
+    w0, _, _, _ = solve_parity(FiniteParityGame(tuple(vertices), tuple(succ)))
+    return {
+        (s.name, vec): 0 if 2 + i * size + r in w0 else 1
+        for i, s in enumerate(game.states)
+        for r, vec in enumerate(grid)
+    }
 
 
 def bracket_decide(

@@ -30,16 +30,23 @@ EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-budget", type=int, default=100000, help="out-game node limit")
-    p.add_argument("--time-budget-ms", type=int, default=0, help="soft wall clock limit (0 = none)")
-    p.add_argument("--complete-sinks", action="store_true", help="repair deadlock-check failures with losing sinks")
+def _add_common(p: argparse.ArgumentParser, budget: bool = True, sinks: bool = True) -> None:
+    """Register the shared flags a command reads: --format always, the
+    budgets for commands that run the solver, --complete-sinks for commands
+    that load a game through the deadlock check."""
+    if budget:
+        p.add_argument("--node-budget", type=int, default=100000, help="out-game node limit")
+        p.add_argument("--time-budget-ms", type=int, default=0, help="soft wall clock limit (0 = none)")
+    if sinks:
+        p.add_argument(
+            "--complete-sinks", action="store_true", help="repair deadlock-check failures with losing sinks"
+        )
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
 def _budget(args: argparse.Namespace) -> Budget:
     deadline = None
-    if getattr(args, "time_budget_ms", 0):
+    if args.time_budget_ms:
         deadline = time.monotonic() + args.time_budget_ms / 1000.0
     return Budget(node_budget=args.node_budget, deadline=deadline)
 
@@ -72,10 +79,8 @@ def _counter_list(game: IntegerGame, spec: Optional[str]) -> List[str]:
 
 def _emit(args: argparse.Namespace, payload: Dict[str, object], text_lines: List[str]) -> None:
     if args.format == "json":
-        payload["budget"] = {
-            "node_budget": getattr(args, "node_budget", None),
-            "time_budget_ms": getattr(args, "time_budget_ms", None),
-        }
+        if "node_budget" in args:
+            payload["budget"] = {"node_budget": args.node_budget, "time_budget_ms": args.time_budget_ms}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -113,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", required=True, help="finite process file (first state is initial)")
     p.add_argument("--vass", required=True, help="labeled VASS file (label=... on transitions)")
     p.add_argument("--init", required=True, help="initial VASS configuration, e.g. 'q0 c=0'")
-    _add_common(p)
+    _add_common(p, sinks=False)
 
     p = sub.add_parser("mc", help="model check a guarded mu-calculus formula at a configuration")
     p.add_argument("vass")
@@ -131,20 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--cap", type=int, default=64, help="largest cap tried")
     p.add_argument("--semantics", choices=[ENERGY, VASS], default=VASS)
-    _add_common(p)
+    _add_common(p, budget=False, sinks=False)
 
     p = sub.add_parser("generate", help="emit a deterministic random game file")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--states", type=int, default=4)
     p.add_argument("--counters", type=int, default=1)
     p.add_argument("--general", action="store_true", help="allow Player-1 counter updates")
-    _add_common(p)
 
     return ap
 
 
 def run(args: argparse.Namespace) -> int:
-    budget = _budget(args)
     cmd = args.command
 
     if cmd == "generate":
@@ -153,6 +156,16 @@ def run(args: argparse.Namespace) -> int:
         )
         sys.stdout.write(formats.print_game(game, labels))
         return EXIT_OK
+
+    if cmd == "oracle":
+        game, _ = _load_game(args.game, args, require_deadlock_free=False)
+        gamma = formats.parse_config(game, args.config)
+        verdict = bracket_decide(game, args.semantics, gamma, max_cap=args.cap)
+        label = {"win0": "Win0", "win1": "Win1", "unknown": "Unknown"}[verdict]
+        _emit(args, {"command": cmd, "verdict": label}, [label])
+        return EXIT_UNKNOWN if verdict == UNKNOWN else EXIT_OK
+
+    budget = _budget(args)
 
     if cmd == "solve-abstract":
         game, _ = _load_game(args.game, args)
@@ -206,14 +219,6 @@ def run(args: argparse.Namespace) -> int:
             lines = formats.format_frontier(game, frontier)
             _emit(args, {"command": cmd, "frontier": formats.frontier_json(game, frontier)}, lines)
         return EXIT_OK
-
-    if cmd == "oracle":
-        game, _ = _load_game(args.game, args, require_deadlock_free=False)
-        gamma = formats.parse_config(game, args.config)
-        verdict = bracket_decide(game, args.semantics, gamma, max_cap=args.cap)
-        label = {"win0": "Win0", "win1": "Win1", "unknown": "Unknown"}[verdict]
-        _emit(args, {"command": cmd, "verdict": label}, [label])
-        return EXIT_UNKNOWN if verdict == UNKNOWN else EXIT_OK
 
     raise ValueError("unknown command %r" % cmd)
 

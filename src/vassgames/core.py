@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 INC = "inc"
@@ -149,6 +150,20 @@ class IntegerGame:
 
     def state_names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.states)
+
+    @cached_property
+    def moves(self) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+        """The game in integer form, compiled on first use: per state index,
+        its moves in out() order as (target index, counter index or -1,
+        delta).  Solvers number vertices from these indices."""
+        index = {s.name: i for i, s in enumerate(self.states)}
+        cidx = {c: i for i, c in enumerate(self.counters)}
+        cidx[None] = -1
+        out = self._out  # type: ignore[attr-defined]
+        return tuple([
+            tuple([(index[t.target], cidx[t.op.counter], t.op.delta) for t in out[s.name]])
+            for s in self.states
+        ])
 
     @property
     def max_color(self) -> int:

@@ -207,9 +207,7 @@ def _one_player_win_set(
             comp_edges = [(i, e) for i, e in sub if e[0] in cset and e[1] in cset]
             if not comp_edges:
                 continue
-            if dims == 0:
-                good.update(cand)
-            elif dims == 1:
+            if dims == 1:
                 scalar = [(u, v, dl[0]) for _, (u, v, dl) in comp_edges]
                 if _has_positive_cycle(cset, scalar):
                     good.update(cand)
@@ -255,37 +253,31 @@ def solve_abstract_energy_parity(
     if bad:
         raise ValueError("states without moves: %s" % ", ".join(bad))
 
-    names = game.state_names()
+    moves = game.moves
     if not game.counters:
         fg = FiniteParityGame(
-            tuple((s.name, s.owner, s.color) for s in game.states),
-            tuple((t.source, t.target) for t in game.transitions),
+            tuple([(s.owner, s.color) for s in game.states]),
+            tuple([tuple([dst for dst, _, _ in ms]) for ms in moves]),
         )
         w0, _, _, _ = solve_parity(fg)
-        return {q: (0 if q in w0 else 1) for q in names}
+        return {s.name: (0 if v in w0 else 1) for v, s in enumerate(game.states)}
 
-    idx = {q: i for i, q in enumerate(names)}
     colors = [s.color for s in game.states]
     dims = len(game.counters)
-    cidx = {c: i for i, c in enumerate(game.counters)}
-
-    def delta(t: Transition) -> Tuple[int, ...]:
-        dl = [0] * dims
-        if t.op.counter is not None:
-            dl[cidx[t.op.counter]] = t.op.delta
-        return tuple(dl)
-
+    zero = (0,) * dims
+    # effect[c][delta + 1] is the effect vector of a move changing counter c
+    # by delta; a move on no counter (c = -1) reads the all-zero last row
+    effect = [[zero[:c] + (d,) + zero[c + 1:] for d in (-1, 0, 1)] for c in range(dims)] + [[zero] * 3]
     fixed_edges = []
     p1_choices: List[List[Tuple[int, int, Tuple[int, ...]]]] = []
-    for s in game.states:
-        outs = game.out(s.name)
-        es = [(idx[s.name], idx[t.target], delta(t)) for t in outs]
+    for v, (s, ms) in enumerate(zip(game.states, moves)):
+        es = [(v, dst, effect[c][delta + 1]) for dst, c, delta in ms]
         if s.owner == 1 and len(es) > 1:
             p1_choices.append(es)
         else:
             fixed_edges.extend(es)
 
-    n = len(names)
+    n = len(game.states)
     win = set(range(n))
     ticks = 0
     for combo in itertools.product(*p1_choices):
@@ -300,7 +292,7 @@ def solve_abstract_energy_parity(
         win &= _one_player_win_set(n, colors, edges, dims)
         if not win:
             break
-    return {q: (0 if idx[q] in win else 1) for q in names}
+    return {s.name: (0 if v in win else 1) for v, s in enumerate(game.states)}
 
 
 def energy_to_single_sided(game: IntegerGame) -> IntegerGame:

@@ -37,13 +37,28 @@ from .applications import FiniteLTS
 _OP_RE = re.compile(r"^(inc|dec)\(([A-Za-z_][\w]*)(?:\s*,\s*(\d+))?\)$")
 
 
+def _parse_op(spec: str) -> Tuple[CounterOp, int]:
+    """An operation and its repeat count: nop, inc(c), dec(c), inc(c,n) or
+    dec(c,n) with n >= 1."""
+    if spec == "nop":
+        return NOP_OP, 1
+    m = _OP_RE.match(spec)
+    if not m:
+        raise ValueError("bad operation %r" % spec)
+    kind, counter, rep = m.group(1), m.group(2), m.group(3)
+    n = int(rep) if rep else 1
+    if n < 1:
+        raise ValueError("repeat count of %r must be at least 1" % spec)
+    return CounterOp(kind, counter), n
+
+
 def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
     """Parse a game file; returns the game and the transition labels."""
     counters: Tuple[str, ...] = ()
     saw_counters = False
     states: List[State] = []
-    raw_trans: List[Tuple[str, str, str, int, str, Optional[str]]] = []
-    # (tid, source, op kind or counter spec, repeat, target, label)
+    raw_trans: List[Tuple[str, str, CounterOp, int, str, Optional[str]]] = []
+    # (tid, source, op, repeat, target, label)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -76,7 +91,8 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
                         label = v
                     else:
                         raise ValueError("unknown transition attribute %r" % k)
-                raw_trans.append((tid, source, opspec, 1, target, label))
+                op, rep = _parse_op(opspec)
+                raw_trans.append((tid, source, op, rep, target, label))
             else:
                 raise ValueError("unknown directive %r" % kind)
         except (IndexError, ValueError) as exc:
@@ -86,18 +102,8 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
     transitions: List[Transition] = []
     labels: Dict[str, str] = {}
 
-    def parse_op(spec: str) -> Tuple[CounterOp, int]:
-        if spec == "nop":
-            return NOP_OP, 1
-        m = _OP_RE.match(spec)
-        if not m:
-            raise ValueError("bad operation %r" % spec)
-        kind, counter, rep = m.group(1), m.group(2), m.group(3)
-        return CounterOp(kind, counter), int(rep) if rep else 1
-
     state_names = {s.name for s in states}
-    for tid, source, opspec, _, target, label in raw_trans:
-        op, rep = parse_op(opspec)
+    for tid, source, op, rep, target, label in raw_trans:
         if rep == 1:
             transitions.append(Transition(tid, source, op, target))
             if label is not None:

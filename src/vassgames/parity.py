@@ -1,6 +1,11 @@
 """Finite parity games: Zielonka's recursive solver with strategy extraction
 and an exhaustive strategy verifier for small instances.
 
+Vertices are the integers 0..n-1: vertices[v] is v's (owner, color) and
+succ[v] the tuple of its successors.  Callers number their vertices
+themselves (see bounded.solve_capped and IntegerGame.moves); winning sets
+and strategies are given in the same numbers.
+
 Player 0 wins a play iff the highest color seen infinitely often is even.
 Every vertex must have at least one outgoing edge.
 """
@@ -8,39 +13,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
-
-Vertex = Hashable
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
 class FiniteParityGame:
-    vertices: Tuple[Tuple[Vertex, int, int], ...]  # (id, owner, color)
-    edges: Tuple[Tuple[Vertex, Vertex], ...]
+    vertices: Tuple[Tuple[int, int], ...]  # (owner, color) per vertex
+    succ: Tuple[Tuple[int, ...], ...]  # successors per vertex
 
     def __post_init__(self) -> None:
-        ids = [v for v, _, _ in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate vertex ids")
-        idx = {v: i for i, v in enumerate(ids)}
-        succ: List[List[int]] = [[] for _ in ids]
-        for a, b in self.edges:
-            if a not in idx or b not in idx:
-                raise ValueError("edge uses unknown vertex")
-            succ[idx[a]].append(idx[b])
-        for i, ss in enumerate(succ):
+        n = len(self.vertices)
+        if len(self.succ) != n:
+            raise ValueError("succ has %d entries for %d vertices" % (len(self.succ), n))
+        for v, ss in enumerate(self.succ):
             if not ss:
-                raise ValueError("vertex %r has no outgoing edge" % (ids[i],))
-        object.__setattr__(self, "_idx", idx)
-        object.__setattr__(self, "_succ", tuple(tuple(s) for s in succ))
-
-    @property
-    def index(self) -> Dict[Vertex, int]:
-        return self._idx  # type: ignore[attr-defined]
-
-    @property
-    def succ(self) -> Tuple[Tuple[int, ...], ...]:
-        return self._succ  # type: ignore[attr-defined]
+                raise ValueError("vertex %d has no outgoing edge" % v)
+            if min(ss) < 0 or max(ss) >= n:
+                raise ValueError("vertex %d has an edge to an unknown vertex" % v)
 
 
 @dataclass(frozen=True)
@@ -48,9 +37,9 @@ class Strategy:
     """Positional strategy: for each owned vertex, the chosen successor."""
 
     player: int
-    choice: Tuple[Tuple[Vertex, Vertex], ...]
+    choice: Tuple[Tuple[int, int], ...]
 
-    def as_dict(self) -> Dict[Vertex, Vertex]:
+    def as_dict(self) -> Dict[int, int]:
         return dict(self.choice)
 
 
@@ -91,13 +80,12 @@ def _attractor(
     return attr
 
 
-def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[Vertex], FrozenSet[Vertex], Strategy, Strategy]:
+def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int], Strategy, Strategy]:
     """Zielonka's algorithm.  Returns (W0, W1, s0, s1) where s_i is a
     positional strategy for player i winning on W_i."""
     n = len(game.vertices)
-    ids = [v for v, _, _ in game.vertices]
-    owner = [o for _, o, _ in game.vertices]
-    color = [c for _, _, c in game.vertices]
+    owner = [o for o, _ in game.vertices]
+    color = [c for _, c in game.vertices]
     succ = game.succ
     pred: List[List[int]] = [[] for _ in range(n)]
     for v in range(n):
@@ -142,43 +130,42 @@ def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[Vertex], FrozenSet[V
         return w0, w1q, s0, s1q
 
     w0, w1, s0, s1 = solve(set(range(n)))
-    strat0 = Strategy(0, tuple((ids[v], ids[w]) for v, w in sorted(s0.items())))
-    strat1 = Strategy(1, tuple((ids[v], ids[w]) for v, w in sorted(s1.items())))
-    return frozenset(ids[v] for v in w0), frozenset(ids[v] for v in w1), strat0, strat1
+    strat0 = Strategy(0, tuple(sorted(s0.items())))
+    strat1 = Strategy(1, tuple(sorted(s1.items())))
+    return frozenset(w0), frozenset(w1), strat0, strat1
 
 
 def verify_strategy(
     game: FiniteParityGame,
     player: int,
     strategy: Strategy,
-    claimed: Iterable[Vertex],
+    claimed: Iterable[int],
 ) -> bool:
     """Exhaustively check a positional strategy: against every positional
     opponent strategy, every play from a claimed vertex must loop with the
     right parity.  Raises ValueError when the strategy leaves the claimed
     region.  Intended for small games only."""
-    idx = game.index
     succ = game.succ
     n = len(game.vertices)
-    owner = [o for _, o, _ in game.vertices]
-    color = [c for _, _, c in game.vertices]
-    claimed_idx = {idx[v] for v in claimed}
-    if not claimed_idx:
+    owner = [o for o, _ in game.vertices]
+    color = [c for _, c in game.vertices]
+    region = set(claimed)
+    if not region:
         return True
-    choice = {idx[a]: idx[b] for a, b in strategy.choice}
-    for v in claimed_idx:
+    choice = strategy.as_dict()
+    for v in region:
         if owner[v] == player:
             if v not in choice:
-                raise ValueError("strategy undefined at claimed vertex %r" % (game.vertices[v][0],))
-            if choice[v] not in claimed_idx:
-                raise ValueError("strategy leaves claimed region at %r" % (game.vertices[v][0],))
+                raise ValueError("strategy undefined at claimed vertex %d" % v)
+            if choice[v] not in region:
+                raise ValueError("strategy leaves claimed region at %d" % v)
     opp_vertices = [v for v in range(n) if owner[v] != player]
     for combo in itertools.product(*(succ[v] for v in opp_vertices)):
         nxt = dict(choice)
         nxt.update(zip(opp_vertices, combo))
         # follow deterministic successor map from every claimed start
         ok_cache: Dict[int, bool] = {}
-        for start in claimed_idx:
+        for start in region:
             v = start
             seen: Dict[int, int] = {}
             path: List[int] = []

@@ -10,7 +10,7 @@ Two readings of the counter updates:
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from .core import DEC, IntegerGame, PartialConfig
 
@@ -34,19 +34,3 @@ def vass_step(game: IntegerGame, cfg: PartialConfig, tid: str) -> Optional[Parti
         vals[c] = vals[c] + t.op.delta
     return PartialConfig.make(t.target, vals)
 
-
-def enabled_transitions(game: IntegerGame, cfg: PartialConfig, semantics: str) -> Tuple[str, ...]:
-    """Transition ids enabled at cfg, in declaration order."""
-    out = game.out(cfg.state)
-    if semantics == ENERGY:
-        return tuple(t.tid for t in out)
-    if semantics != VASS:
-        raise ValueError("unknown semantics %r" % semantics)
-    enabled = []
-    vals = cfg.valuation
-    for t in out:
-        c = t.op.counter
-        if t.op.kind == DEC and c in vals and vals[c] == 0:
-            continue
-        enabled.append(t.tid)
-    return tuple(enabled)

@@ -206,7 +206,6 @@ class ParetoTable:
         self._frontiers: Dict[FrozenSet[str], Dict[str, Antichain]] = {}
         self._abstract: Optional[Dict[str, int]] = None
         self._query_cache: Dict[PartialConfig, bool] = {}
-        self.out_games: List[OutGame] = []  # kept for inspection
 
     def abstract_verdicts(self) -> Dict[str, int]:
         if self._abstract is None:
@@ -229,7 +228,6 @@ class ParetoTable:
         if gamma in self._query_cache:
             return self._query_cache[gamma]
         out = build_out_game(self.game, gamma, self._beta(C), self.budget)
-        self.out_games.append(out)
         verdicts = solve_abstract_energy_parity(out.game, self.budget)
         ans = verdicts[out.root] == 0
         self._query_cache[gamma] = ans

@@ -33,11 +33,13 @@ from vassgames.core import (
     PartialConfig,
     State,
     Transition,
+    is_single_sided,
     leq,
     lt,
 )
-from vassgames.parity import FiniteParityGame
-from vassgames.semantics import vass_step
+from vassgames.bounded import OVERFLOW_WINS_P0, SATURATE
+from vassgames.parity import FiniteParityGame, solve_parity
+from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import OutGame
 
 
@@ -77,12 +79,15 @@ def random_counter_game(
 
 
 def random_parity_game(rng: random.Random, n: int, max_color: int = 4, max_out: int = 2) -> FiniteParityGame:
-    vertices = tuple(("v%d" % i, rng.randint(0, 1), rng.randint(0, max_color)) for i in range(n))
+    vertices = tuple((rng.randint(0, 1), rng.randint(0, max_color)) for _ in range(n))
     edges = []
     for i in range(n):
         for _ in range(rng.randint(1, max_out)):
-            edges.append(("v%d" % i, "v%d" % rng.randrange(n)))
-    return FiniteParityGame(vertices, tuple(sorted(set(edges))))
+            edges.append((i, rng.randrange(n)))
+    succ: List[List[int]] = [[] for _ in range(n)]
+    for a, b in sorted(set(edges)):
+        succ[a].append(b)
+    return FiniteParityGame(vertices, tuple(tuple(ss) for ss in succ))
 
 
 def random_lts(rng: random.Random, n_states: int, n_edges: int, actions: Sequence[str]) -> FiniteLTS:
@@ -122,14 +127,13 @@ def random_guarded_formula(rng: random.Random, vass: IntegerGame, depth: int, en
 # brute-force parity oracle
 
 
-def brute_force_parity(game: FiniteParityGame) -> Tuple[Set[object], Set[object]]:
+def brute_force_parity(game: FiniteParityGame) -> Tuple[Set[int], Set[int]]:
     """Winner per vertex by enumerating both players' positional strategies.
     Only usable on tiny games."""
     n = len(game.vertices)
-    owner = [o for _, o, _ in game.vertices]
-    color = [c for _, _, c in game.vertices]
+    owner = [o for o, _ in game.vertices]
+    color = [c for _, c in game.vertices]
     succ = game.succ
-    ids = [v for v, _, _ in game.vertices]
     p0 = [v for v in range(n) if owner[v] == 0]
     p1 = [v for v in range(n) if owner[v] == 1]
 
@@ -160,8 +164,8 @@ def brute_force_parity(game: FiniteParityGame) -> Tuple[Set[object], Set[object]
                 win = True
                 break
         if win:
-            w0.add(ids[start])
-    return w0, set(ids) - w0
+            w0.add(start)
+    return w0, set(range(n)) - w0
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +522,109 @@ def reference_feasible(
             f = obj[enter]
             obj = [a - f * b for a, b in zip(obj, tableau[leave])]
         basis[leave] = enter
+
+
+# ---------------------------------------------------------------------------
+# reference capped grid: the solver that keyed grid vertices by (state,
+# vector) tuples.  bounded.solve_capped numbers them arithmetically and must
+# give the same winner at every configuration.
+
+_OVER = ("__overflow",)
+_UNDER = ("__underflow",)
+
+
+def _number_tuple_ids(vertices, edges) -> Tuple[FiniteParityGame, List[object]]:
+    """Adapter from (id, owner, color) vertices and (id, id) edges to a
+    FiniteParityGame numbered in vertex order; also returns the ids."""
+    ids = [v for v, _, _ in vertices]
+    idx = {v: i for i, v in enumerate(ids)}
+    succ: List[List[int]] = [[] for _ in ids]
+    for a, b in edges:
+        succ[idx[a]].append(idx[b])
+    return FiniteParityGame(tuple((o, c) for _, o, c in vertices), tuple(tuple(ss) for ss in succ)), ids
+
+
+def reference_solve_capped(
+    game: IntegerGame,
+    semantics: str,
+    cap: int,
+    mode: str,
+) -> Dict[Tuple[str, Tuple[int, ...]], int]:
+    """Winner (0 or 1) of every configuration with all values in [0, cap].
+
+    Configurations are keyed by (state, value vector in game.counters order).
+    A side with no enabled move loses.
+    """
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if mode not in (SATURATE, OVERFLOW_WINS_P0):
+        raise ValueError("unknown cap mode %r" % mode)
+    if semantics not in (ENERGY, VASS):
+        raise ValueError("unknown semantics %r" % semantics)
+    if semantics == VASS and mode == SATURATE and not is_single_sided(game):
+        raise ValueError("saturate mode under VASS semantics needs a single-sided game")
+
+    counters = game.counters
+    k = len(counters)
+    cidx = {c: i for i, c in enumerate(counters)}
+
+    vertices = [(_OVER, 0, 0), (_UNDER, 0, 1)]
+    edges = [(_OVER, _OVER), (_UNDER, _UNDER)]
+    stuck_sink = {}  # owner -> sink vertex, for configs with no enabled move
+
+    def vectors(i: int):
+        if i == 0:
+            yield ()
+            return
+        for rest in vectors(i - 1):
+            for v in range(cap + 1):
+                yield rest + (v,)
+
+    grid = list(vectors(k))
+    for s in game.states:
+        for vec in grid:
+            vertices.append(((s.name, vec), s.owner, s.color))
+    for s in game.states:
+        outs = game.out(s.name)
+        for vec in grid:
+            src = (s.name, vec)
+            added = False
+            for t in outs:
+                if t.op.counter is None:
+                    edges.append((src, (t.target, vec)))
+                    added = True
+                    continue
+                i = cidx[t.op.counter]
+                nv = vec[i] + t.op.delta
+                if nv < 0:
+                    if semantics == VASS:
+                        continue  # disabled
+                    edges.append((src, _UNDER))
+                    added = True
+                    continue
+                if nv > cap:
+                    if mode == SATURATE:
+                        nv = cap
+                        edges.append((src, (t.target, vec[:i] + (nv,) + vec[i + 1:])))
+                    else:
+                        edges.append((src, _OVER))
+                    added = True
+                    continue
+                edges.append((src, (t.target, vec[:i] + (nv,) + vec[i + 1:])))
+                added = True
+            if not added:
+                # stuck: the owner loses
+                if s.owner not in stuck_sink:
+                    sink = ("__stuck", s.owner)
+                    stuck_sink[s.owner] = sink
+                    vertices.append((sink, 0, 1 if s.owner == 0 else 0))
+                    edges.append((sink, sink))
+                edges.append((src, stuck_sink[s.owner]))
+
+    fg, ids = _number_tuple_ids(vertices, edges)
+    w0 = {ids[v] for v in solve_parity(fg)[0]}
+    result: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+    for s in game.states:
+        for vec in grid:
+            result[(s.name, vec)] = 0 if (s.name, vec) in w0 else 1
+    return result

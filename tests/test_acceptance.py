@@ -48,14 +48,15 @@ from vassgames.core import (
 )
 from vassgames.energy import energy_to_single_sided
 from vassgames.parity import solve_parity, verify_strategy
-from vassgames.semantics import ENERGY, VASS, enabled_transitions, vass_step
+from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import ParetoTable, vj_minimize
 
-from test_solver import check_label_invariant, enumerate_cycles_zero_effect
+from test_solver import check_label_invariant, enumerate_cycles_zero_effect, record_out_games
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
-# tables built while checking criteria 4 and 5, re-inspected by criterion 6
+# tables built while checking criteria 4 and 5, each with the out-games it
+# built, re-inspected by criterion 6
 COLLECTED_TABLES = []
 
 
@@ -82,8 +83,7 @@ def test_01_parity_determinacy():
     for i in range(500):
         g = random_parity_game(rng, rng.randint(1, 8), max_color=4, max_out=2)
         w0, w1, s0, s1 = solve_parity(g)
-        ids = {v for v, _, _ in g.vertices}
-        assert w0 | w1 == ids and not (w0 & w1)
+        assert w0 | w1 == set(range(len(g.vertices))) and not (w0 & w1)
         assert verify_strategy(g, 0, s0, w0)
         assert verify_strategy(g, 1, s1, w1)
         if i % 25 == 0:
@@ -102,19 +102,19 @@ def test_02_monotonicity():
         q = rng.choice(g.state_names())
         dom = [c for c in g.counters if rng.random() < 0.8]
         g1 = PartialConfig.make(q, {c: rng.randint(0, 4) for c in dom})
-        moves = enabled_transitions(g, g1, VASS)
+        moves = [t.tid for t in g.out(q) if vass_step(g, g1, t.tid) is not None]
         if not moves:
             continue
         tid = rng.choice(moves)
         g2 = vass_step(g, g1, tid)
         if forward < 1000:
             g3 = PartialConfig.make(q, {c: g1.get(c) + rng.randint(0, 2) for c in dom})
-            succ3 = [vass_step(g, g3, u) for u in enabled_transitions(g, g3, VASS)]
-            assert any(leq(g2, g4) for g4 in succ3)
+            succ3 = [vass_step(g, g3, t.tid) for t in g.out(q)]
+            assert any(g4 is not None and leq(g2, g4) for g4 in succ3)
             forward += 1
         if backward < 1000 and g.state(q).owner == 1:
             g3 = PartialConfig.make(q, {c: max(0, g1.get(c) - rng.randint(0, 2)) for c in dom})
-            succ3 = [vass_step(g, g3, u) for u in enabled_transitions(g, g3, VASS)]
+            succ3 = [vass_step(g, g3, t.tid) for t in g.out(q)]
             assert any(g4 is not None and leq(g4, g2) for g4 in succ3)
             backward += 1
 
@@ -143,7 +143,8 @@ def test_03_energy_vass_agreement():
 
 
 @criterion(4, "frontier elements certified Win0, pointwise predecessors Win1; CLI golden exact")
-def test_04_pareto_exactness():
+def test_04_pareto_exactness(monkeypatch):
+    built = record_out_games(monkeypatch)
     rng = random.Random(10004)
     done = 0
     attempts = 0
@@ -151,6 +152,7 @@ def test_04_pareto_exactness():
         attempts += 1
         assert attempts < 600, "could not find enough resolvable instances"
         g = random_counter_game(rng, rng.randint(2, 5), rng.randint(1, 2), single_sided=True)
+        built.clear()
         table = ParetoTable(g)
         frontier = table.frontier(frozenset(g.counters))
         elems = [el for ac in frontier.values() for el in ac]
@@ -169,7 +171,7 @@ def test_04_pareto_exactness():
         for gamma, v in verdicts:
             expect = WIN0 if frontier[gamma.state].covers(gamma) else WIN1
             assert v == expect, (gamma, v)
-        COLLECTED_TABLES.append((g, table))
+        COLLECTED_TABLES.append((g, table, list(built)))
         done += 1
 
     # worked example through the command line, byte for byte
@@ -182,10 +184,12 @@ def test_04_pareto_exactness():
 
 
 @criterion(5, "membership monotone under the componentwise order, 1000 pairs per instance")
-def test_05_membership_upward_closed():
+def test_05_membership_upward_closed(monkeypatch):
+    built = record_out_games(monkeypatch)
     rng = random.Random(10005)
     for _ in range(3):
         g = random_counter_game(rng, rng.randint(3, 5), 2, single_sided=True)
+        built.clear()
         table = ParetoTable(g)
         C = frozenset(g.counters)
         for _ in range(1000):
@@ -195,18 +199,18 @@ def test_05_membership_upward_closed():
             small = table.membership(PartialConfig.make(q, lo), C)
             big = table.membership(PartialConfig.make(q, hi), C)
             assert big or not small
-        COLLECTED_TABLES.append((g, table))
+        COLLECTED_TABLES.append((g, table, list(built)))
 
 
 @criterion(6, "unfolding terminates within the node budget; cycle effect on tracked counters is zero")
 def test_06_out_game_structure():
     assert COLLECTED_TABLES, "criteria 4 and 5 must run first"
     outs = 0
-    for g, table in COLLECTED_TABLES:
+    for g, table, out_games in COLLECTED_TABLES:
         # all frontiers were built within the default 1e5 node budget, or
         # BudgetExceeded would have failed the earlier criteria
         assert table.budget.node_budget == 100000
-        for out in table.out_games:
+        for out in out_games:
             assert len(out.game.states) <= 100000
             check_label_invariant(g, out)
             enumerate_cycles_zero_effect(g, out, out.labels[out.root].dom)

@@ -64,6 +64,20 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "oracle", str(p), "--config", "q0 c=0", "--cap", "8")
         assert code == 3 and out.strip() == "Unknown"
 
+    def test_unread_flags_rejected(self, capsys):
+        # each command registers only the flags it reads
+        for argv in (
+            ["oracle", G1, "--config", "q0 c=1", "--node-budget", "5"],
+            ["oracle", G1, "--config", "q0 c=1", "--complete-sinks"],
+            ["generate", "--seed", "7", "--format", "json"],
+            ["generate", "--seed", "7", "--time-budget-ms", "100"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "oracle", G1, "--config", "q0 c=1", "--format", "json")
+        assert code == 0 and json.loads(out) == {"command": "oracle", "verdict": "Win0"}
+
     def test_deadline_stops_strategy_enumeration(self, capsys, tmp_path):
         # over 200,000 Player-1 strategies, none of which empties Player 0's
         # winning set early
@@ -138,6 +152,23 @@ class TestFormats:
         # the label sits on the first hop, the rest are internal
         assert labels[hops[0].tid] == "a"
         assert all(labels[t.tid] == "tau" for t in hops[1:])
+
+    def test_zero_repeat_rejected(self, capsys, tmp_path):
+        # inc(c,0) used to drop the transition, so pareto answered for
+        # another game
+        p = tmp_path / "zero.game"
+        p.write_text(
+            "counters c\n"
+            "state q0 owner=0 color=0\n"
+            "state q1 owner=0 color=0\n"
+            "trans t0: q0 nop q0\n"
+            "trans t1: q0 inc(c,0) q1\n"
+            "trans t2: q1 nop q1\n"
+        )
+        code, _, err = run_cli(capsys, "pareto", str(p))
+        assert code == 2 and "line 5" in err and "inc(c,0)" in err
+        with pytest.raises(ValueError, match="line 1"):
+            formats.parse_game("trans t1: q0 dec(c,0) q0\n")
 
     def test_bad_directive_rejected(self):
         with pytest.raises(ValueError):

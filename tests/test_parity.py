@@ -4,32 +4,32 @@ import random
 import pytest
 
 from helpers import brute_force_parity, random_parity_game
-from vassgames.parity import FiniteParityGame, Strategy, solve_parity, verify_strategy
+from vassgames.parity import FiniteParityGame, solve_parity, verify_strategy
 
 
 def test_textbook_example():
     # v0 (P0, color 1) -> v1, v2; v1 (P1, color 0) -> v0; v2 (P1, color 1) -> v2
-    g = FiniteParityGame(
-        (("v0", 0, 1), ("v1", 1, 0), ("v2", 1, 1)),
-        (("v0", "v1"), ("v1", "v0"), ("v0", "v2"), ("v2", "v2")),
-    )
+    g = FiniteParityGame(((0, 1), (1, 0), (1, 1)), ((1, 2), (0,), (2,)))
     w0, w1, s0, s1 = solve_parity(g)
     # the only cycles are v0-v1 (max color 1, odd) and v2 (odd): Player 1 wins all
     assert w0 == frozenset()
-    assert w1 == frozenset({"v0", "v1", "v2"})
+    assert w1 == frozenset({0, 1, 2})
     assert verify_strategy(g, 1, s1, w1)
 
 
 def test_even_self_loop():
-    g = FiniteParityGame((("a", 0, 2), ("b", 1, 1)), (("a", "a"), ("b", "a"), ("a", "b")))
+    # a = 0 (P0, color 2) -> a, b; b = 1 (P1, color 1) -> a
+    g = FiniteParityGame(((0, 2), (1, 1)), ((0, 1), (0,)))
     w0, w1, s0, s1 = solve_parity(g)
-    assert w0 == frozenset({"a", "b"})
+    assert w0 == frozenset({0, 1})
     assert verify_strategy(g, 0, s0, w0)
 
 
 def test_vertex_without_edge_rejected():
     with pytest.raises(ValueError):
-        FiniteParityGame((("a", 0, 0), ("b", 0, 0)), (("a", "b"),))
+        FiniteParityGame(((0, 0), (0, 0)), ((1,), ()))
+    with pytest.raises(ValueError):
+        FiniteParityGame(((0, 0), (0, 0)), ((1,), (2,)))
 
 
 def test_against_brute_force():
@@ -72,11 +72,11 @@ def test_strategy_stays_in_region():
         w0, w1, s0, s1 = solve_parity(g)
         c0 = s0.as_dict()
         for v in w0:
-            _, owner, _ = g.vertices[g.index[v]]
+            owner, _ = g.vertices[v]
             if owner == 0:
                 assert c0[v] in w0
         c1 = s1.as_dict()
         for v in w1:
-            _, owner, _ = g.vertices[g.index[v]]
+            owner, _ = g.vertices[v]
             if owner == 1:
                 assert c1[v] in w1

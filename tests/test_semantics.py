@@ -1,6 +1,6 @@
-"""Step semantics: energy vs VASS enabledness, undefined counter passthrough."""
+"""Step semantics: VASS enabledness, undefined counter passthrough."""
 from vassgames.core import IntegerGame, NOP_OP, PartialConfig, State, Transition, dec, inc
-from vassgames.semantics import ENERGY, VASS, enabled_transitions, vass_step
+from vassgames.semantics import vass_step
 
 GAME = IntegerGame(
     ("c", "d"),
@@ -18,6 +18,8 @@ def test_vass_step_disabled_at_zero():
     cfg = PartialConfig.make("q0", {"c": 0, "d": 1})
     assert vass_step(GAME, cfg, "t1") is None
     assert vass_step(GAME, cfg, "t4") == PartialConfig.make("q1", {"c": 0, "d": 0})
+    zero = PartialConfig.make("q0", {"c": 0, "d": 0})
+    assert [t.tid for t in GAME.out("q0") if vass_step(GAME, zero, t.tid) is not None] == ["t2"]
 
 
 def test_vass_step_undefined_counter_passes_through():
@@ -27,11 +29,6 @@ def test_vass_step_undefined_counter_passes_through():
     assert nxt.get("c") is None
     # dec on the defined counter at 0 is still disabled
     assert vass_step(GAME, cfg, "t4") is None
-
-
-def test_enabled_transitions():
-    cfg = PartialConfig.make("q0", {"c": 0, "d": 0})
-    assert enabled_transitions(GAME, cfg, VASS) == ("t2",)
-    assert enabled_transitions(GAME, cfg, ENERGY) == ("t1", "t2", "t4")
+    # with no counter defined, nothing is disabled
     abstract = PartialConfig.make("q0")
-    assert enabled_transitions(GAME, abstract, VASS) == ("t1", "t2", "t4")
+    assert all(vass_step(GAME, abstract, t.tid) is not None for t in GAME.out("q0"))
