@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .core import (
     Antichain,
     Budget,
     IntegerGame,
-    NOP,
     NOP_OP,
     PartialConfig,
     State,
@@ -52,14 +51,12 @@ def restrict_reachable(game: IntegerGame, roots: Iterable[str]) -> IntegerGame:
     """Subgame induced by the states graph-reachable from the roots (guards
     ignored, so this over-approximates every semantics)."""
     keep: Set[str] = set()
-    stack = [r for r in roots]
+    stack = list(roots)
     while stack:
         q = stack.pop()
-        if q in keep:
-            continue
-        keep.add(q)
-        for t in game.out(q):
-            stack.append(t.target)
+        if q not in keep:
+            keep.add(q)
+            stack.extend(t.target for t in game.out(q))
     states = tuple(s for s in game.states if s.name in keep)
     transitions = tuple(t for t in game.transitions if t.source in keep)
     return IntegerGame(game.counters, states, transitions)
@@ -94,11 +91,9 @@ def weaksim_game(
 
     states: List[State] = []
     transitions: List[Transition] = []
-    tnum = [0]
 
     def add_t(src: str, op, dst: str) -> None:
-        transitions.append(Transition("w%d" % tnum[0], src, op, dst))
-        tnum[0] += 1
+        transitions.append(Transition("w%d" % len(transitions), src, op, dst))
 
     for s in fs.states:
         for q in vstates:
@@ -144,8 +139,7 @@ def weaksim_game(
     extra: List[Transition] = []
     for name in check_deadlock_free(game):
         target = WIN0 if game.state(name).owner == 1 else LOSE0
-        extra.append(Transition("w%d" % tnum[0], name, NOP_OP, target))
-        tnum[0] += 1
+        extra.append(Transition("w%d" % (len(transitions) + len(extra)), name, NOP_OP, target))
     if extra:
         game = IntegerGame(vass.counters, tuple(states), tuple(transitions + extra))
     return game
@@ -454,11 +448,9 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
 
     states: List[State] = []
     transitions: List[Transition] = []
-    tnum = [0]
 
     def add_t(src: str, op, dst: str) -> None:
-        transitions.append(Transition("m%d" % tnum[0], src, op, dst))
-        tnum[0] += 1
+        transitions.append(Transition("m%d" % len(transitions), src, op, dst))
 
     for q in vass.state_names():
         qowner = vass.state(q).owner

@@ -30,12 +30,13 @@ EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
 
-def _add_common(p: argparse.ArgumentParser, budget: bool = True, sinks: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, nodes: bool = True, deadline: bool = True, sinks: bool = True) -> None:
     """Register the shared flags a command reads: --format always, the
-    budgets for commands that run the solver, --complete-sinks for commands
-    that load a game through the deadlock check."""
-    if budget:
+    budgets its solvers apply, --complete-sinks for commands that load a game
+    through the deadlock check."""
+    if nodes:
         p.add_argument("--node-budget", type=int, default=100000, help="out-game node limit")
+    if deadline:
         p.add_argument("--time-budget-ms", type=int, default=0, help="soft wall clock limit (0 = none)")
     if sinks:
         p.add_argument(
@@ -45,10 +46,8 @@ def _add_common(p: argparse.ArgumentParser, budget: bool = True, sinks: bool = T
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    deadline = None
-    if args.time_budget_ms:
-        deadline = time.monotonic() + args.time_budget_ms / 1000.0
-    return Budget(node_budget=args.node_budget, deadline=deadline)
+    deadline = time.monotonic() + args.time_budget_ms / 1000.0 if args.time_budget_ms else None
+    return Budget(node_budget=getattr(args, "node_budget", Budget.node_budget), deadline=deadline)
 
 
 def _load_game(path: str, args: argparse.Namespace, require_deadlock_free: bool = True):
@@ -79,8 +78,9 @@ def _counter_list(game: IntegerGame, spec: Optional[str]) -> List[str]:
 
 def _emit(args: argparse.Namespace, payload: Dict[str, object], text_lines: List[str]) -> None:
     if args.format == "json":
-        if "node_budget" in args:
-            payload["budget"] = {"node_budget": args.node_budget, "time_budget_ms": args.time_budget_ms}
+        echo = {k: getattr(args, k) for k in ("node_budget", "time_budget_ms") if k in args}
+        if echo:
+            payload["budget"] = echo
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-abstract", help="per-state abstract verdicts (some-credit wins)")
     p.add_argument("game")
-    _add_common(p)
+    _add_common(p, nodes=False)
 
     p = sub.add_parser("pareto", help="Pareto frontier under VASS semantics (single-sided game)")
     p.add_argument("game")
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--cap", type=int, default=64, help="largest cap tried")
     p.add_argument("--semantics", choices=[ENERGY, VASS], default=VASS)
-    _add_common(p, budget=False, sinks=False)
+    _add_common(p, nodes=False, deadline=False, sinks=False)
 
     p = sub.add_parser("generate", help="emit a deterministic random game file")
     p.add_argument("--seed", type=int, required=True)

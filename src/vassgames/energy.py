@@ -10,6 +10,9 @@ inside the subgraph of colors <= d.  Closed-walk existence is a circulation
 feasibility question; for one counter it reduces to longest-path reasoning
 and for more counters it is decided with an exact integer simplex plus
 support pruning.
+
+The single-sided embedding of energy games splits only Player-1 counter
+updates and adds losing escapes only where a decrement can block.
 """
 from __future__ import annotations
 
@@ -20,7 +23,9 @@ from . import _simplex
 from .core import (
     Budget,
     BudgetExceeded,
+    DEC,
     IntegerGame,
+    NOP,
     NOP_OP,
     State,
     Transition,
@@ -299,29 +304,45 @@ def energy_to_single_sided(game: IntegerGame) -> IntegerGame:
     """Embed an energy parity game into a single-sided game whose VASS parity
     verdicts on the original states coincide with the energy verdicts.
 
-    Every transition t is split through a fresh Player-0 state of color 0
-    that either fires t's update or escapes to a losing color-1 loop; under
-    VASS semantics a disabled Dec forces the escape, which is exactly an
-    energy violation."""
-    lose = "__lose"
-    while game.has_state(lose):
-        lose += "_"
+    Transitions keep their ids and order, but a Player-1 counter update is
+    split by a fresh color-0 Player-0 middle state entered by a nop.  A middle
+    state firing a dec, and each Player-0 state with a dec, get one escape
+    (last among their moves) to a color-1 losing loop.  Sound: a move taking
+    a counter below 0 loses at once under energy semantics, so disabling a
+    Player-0 dec at 0 changes no verdict while the state keeps its escape,
+    which only ever loses; a Player-1 dec at 0 forces its middle state onto
+    the escape, exactly the energy loss; and color-0 middle states never
+    change a cycle's highest color, colors being max-parity and nonnegative.
+    Generated names are fresh against the input and each other."""
+    state_names = set(game.state_names())
+    tids = {t.tid for t in game.transitions}
+
+    def fresh(name: str, taken: Set[str]) -> str:
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        return name
+
     states: List[State] = list(game.states)
     transitions: List[Transition] = []
-    mids: Dict[str, str] = {}
+    escapes: Dict[str, str] = {}  # escaping state -> escape id, in order
     for t in game.transitions:
-        mid = "__t_%s" % t.tid
-        while game.has_state(mid):
-            mid += "_"
-        mids[t.tid] = mid
-        states.append(State(mid, 0, 0))
-    states.append(State(lose, 0, 1))
-    for t in game.transitions:
-        mid = mids[t.tid]
-        transitions.append(Transition("%s__in" % t.tid, t.source, NOP_OP, mid))
-        transitions.append(Transition("%s__do" % t.tid, mid, t.op, t.target))
-        transitions.append(Transition("%s__bail" % t.tid, mid, NOP_OP, lose))
-    transitions.append(Transition("__lose_loop", lose, NOP_OP, lose))
+        if t.op.kind != NOP and game.state(t.source).owner == 1:
+            mid = fresh("__t_%s" % t.tid, state_names)
+            states.append(State(mid, 0, 0))
+            transitions.append(Transition(fresh("%s__in" % t.tid, tids), t.source, NOP_OP, mid))
+            if t.op.kind == DEC:
+                escapes[mid] = "%s__bail" % t.tid
+            t = Transition(fresh("%s__do" % t.tid, tids), mid, t.op, t.target)
+        elif t.op.kind == DEC:
+            escapes.setdefault(t.source, "__esc_%s" % t.source)
+        transitions.append(t)
+    if escapes:
+        lose = fresh("__lose", state_names)
+        states.append(State(lose, 0, 1))
+        for q, tid in escapes.items():
+            transitions.append(Transition(fresh(tid, tids), q, NOP_OP, lose))
+        transitions.append(Transition(fresh("__lose_loop", tids), lose, NOP_OP, lose))
     return IntegerGame(game.counters, tuple(states), tuple(transitions))
 
 
@@ -334,7 +355,5 @@ def pareto_energy(
     objective, per original state, over the given counter subset."""
     from .solver import pareto_single_sided_vass
 
-    embedded = energy_to_single_sided(game)
-    table = pareto_single_sided_vass(embedded, frozenset(counters), budget)
-    keep = set(game.state_names())
-    return {q: ac for q, ac in table.items() if q in keep}
+    table = pareto_single_sided_vass(energy_to_single_sided(game), frozenset(counters), budget)
+    return {q: table[q] for q in game.state_names()}

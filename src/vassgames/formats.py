@@ -26,7 +26,6 @@ from .core import (
     DEC,
     INC,
     IntegerGame,
-    NOP,
     NOP_OP,
     PartialConfig,
     State,

@@ -16,15 +16,15 @@ The solver works by induction on the tracked counter subset C:
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     Antichain,
     Budget,
     BudgetExceeded,
-    Ideal,
     IntegerGame,
     NOP_OP,
     PartialConfig,
@@ -36,7 +36,7 @@ from .core import (
     leq,
 )
 from .energy import solve_abstract_energy_parity
-from .semantics import VASS, vass_step
+from .semantics import vass_step
 
 EXTRACT_LIMIT = 4096  # safety cap when probing a single coordinate upward
 
@@ -322,17 +322,7 @@ def vj_minimize(
         for ideal in sorted(ideals, key=lambda i: str(i.bounds)):
             finite = ideal.finite_coords
             names = [c for c, _ in finite]
-            bounds = [b for _, b in finite]
-
-            def assignments(i: int):
-                if i == len(names):
-                    yield ()
-                    return
-                for v in range(bounds[i] + 1):
-                    for rest in assignments(i + 1):
-                        yield (v,) + rest
-
-            for vec in assignments(0):
+            for vec in itertools.product(*[range(b + 1) for _, b in finite]):
                 g = PartialConfig(state, tuple(zip(names, vec)))
                 if query(g):
                     hit = g

@@ -628,3 +628,39 @@ def reference_solve_capped(
         for vec in grid:
             result[(s.name, vec)] = 0 if (s.name, vec) in w0 else 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# reference energy embedding: every transition is split through its own
+# Player-0 middle state with an escape.  energy.energy_to_single_sided must
+# give the same pareto_energy frontiers on the original states.
+
+
+def reference_energy_to_single_sided(game: IntegerGame) -> IntegerGame:
+    """Embed an energy parity game into a single-sided game whose VASS parity
+    verdicts on the original states coincide with the energy verdicts.
+
+    Every transition t is split through a fresh Player-0 state of color 0
+    that either fires t's update or escapes to a losing color-1 loop; under
+    VASS semantics a disabled Dec forces the escape, which is exactly an
+    energy violation."""
+    lose = "__lose"
+    while game.has_state(lose):
+        lose += "_"
+    states: List[State] = list(game.states)
+    transitions: List[Transition] = []
+    mids: Dict[str, str] = {}
+    for t in game.transitions:
+        mid = "__t_%s" % t.tid
+        while game.has_state(mid):
+            mid += "_"
+        mids[t.tid] = mid
+        states.append(State(mid, 0, 0))
+    states.append(State(lose, 0, 1))
+    for t in game.transitions:
+        mid = mids[t.tid]
+        transitions.append(Transition("%s__in" % t.tid, t.source, NOP_OP, mid))
+        transitions.append(Transition("%s__do" % t.tid, mid, t.op, t.target))
+        transitions.append(Transition("%s__bail" % t.tid, mid, NOP_OP, lose))
+    transitions.append(Transition("__lose_loop", lose, NOP_OP, lose))
+    return IntegerGame(game.counters, tuple(states), tuple(transitions))

@@ -179,3 +179,24 @@ def test_oracle_and_solver_are_independent():
     assert package_imports("bounded").isdisjoint({"solver", "energy", "applications"})
     assert "bounded" not in package_imports("solver")
     assert "bounded" not in package_imports("energy")
+
+
+def test_every_import_is_used():
+    # each module loads every name it imports; __init__.py only re-exports
+    package = os.path.dirname(vassgames.__file__)
+    unused = {}
+    for fname in sorted(os.listdir(package)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(package, fname)) as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - loaded:
+            unused[fname] = sorted(imported - loaded)
+    assert unused == {}

@@ -71,12 +71,16 @@ class TestExitCodes:
             ["oracle", G1, "--config", "q0 c=1", "--complete-sinks"],
             ["generate", "--seed", "7", "--format", "json"],
             ["generate", "--seed", "7", "--time-budget-ms", "100"],
+            ["solve-abstract", G1, "--node-budget", "1"],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
         code, out, _ = run_cli(capsys, "oracle", G1, "--config", "q0 c=1", "--format", "json")
         assert code == 0 and json.loads(out) == {"command": "oracle", "verdict": "Win0"}
+        # the abstract solver applies only the deadline, and echoes only it
+        code, out, _ = run_cli(capsys, "solve-abstract", G1, "--time-budget-ms", "5000", "--format", "json")
+        assert code == 0 and json.loads(out)["budget"] == {"time_budget_ms": 5000}
 
     def test_deadline_stops_strategy_enumeration(self, capsys, tmp_path):
         # over 200,000 Player-1 strategies, none of which empties Player 0's

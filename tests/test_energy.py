@@ -1,10 +1,11 @@
 """Abstract energy parity solving, the single-sided embedding, and the
 exact integer feasibility kernel."""
 import random
+import time
 
 import pytest
 
-from helpers import random_counter_game, reference_feasible
+from helpers import random_counter_game, reference_energy_to_single_sided, reference_feasible
 from vassgames import _simplex
 from vassgames._simplex import feasible
 from vassgames.bounded import UNKNOWN, WIN0, WIN1, bracket_decide
@@ -27,6 +28,7 @@ from vassgames.energy import (
 )
 from vassgames.formats import generate_game
 from vassgames.semantics import ENERGY, VASS
+from vassgames.solver import pareto_single_sided_vass
 
 G1 = IntegerGame(
     ("c",),
@@ -198,18 +200,121 @@ class TestStrategyBudget:
             solve_abstract_energy_parity(g, Budget(strategy_budget=2 ** k - 1))
 
 
+# one transition of each kind: Player-0 nop and dec, Player-1 nop, inc and dec
+MIXED = IntegerGame(
+    ("c",),
+    (State("a", 0, 2), State("b", 1, 1)),
+    (
+        Transition("t1", "a", NOP_OP, "b"),
+        Transition("t2", "a", dec("c"), "a"),
+        Transition("t3", "b", NOP_OP, "a"),
+        Transition("t4", "b", inc("c"), "a"),
+        Transition("t5", "b", dec("c"), "b"),
+    ),
+)
+
+
+def shape(g):
+    return ([(s.name, s.owner, s.color) for s in g.states],
+            [(t.tid, t.source, str(t.op), t.target) for t in g.transitions])
+
+
+def renamed(g):
+    """The same game with every state and transition renamed, and the state map."""
+    names = {s.name: "s%d" % i for i, s in enumerate(g.states)}
+    states = tuple(State(names[s.name], s.owner, s.color) for s in g.states)
+    trans = tuple(Transition("r%d" % i, names[t.source], t.op, names[t.target])
+                  for i, t in enumerate(g.transitions))
+    return IntegerGame(g.counters, states, trans), names
+
+
 class TestEmbedding:
     def test_shape(self):
-        g2 = energy_to_single_sided(G2)
-        assert is_single_sided(g2)
-        # one mid state per transition plus the losing loop
-        assert len(g2.states) == len(G2.states) + len(G2.transitions) + 1
-        assert len(g2.transitions) == 3 * len(G2.transitions) + 1
-        mid = "__t_t1"
-        assert g2.state(mid).color == 0 and g2.state(mid).owner == 0
-        assert g2.state("__lose").color == 1
-        kinds = sorted((t.source, t.op.kind, t.target) for t in g2.transitions if t.source == mid)
-        assert kinds == [(mid, "dec", "q0"), (mid, "nop", "__lose")]
+        emb = energy_to_single_sided(MIXED)
+        assert is_single_sided(emb)
+        # middle states only for the Player-1 inc and dec; escapes only from
+        # the dec middle state and the Player-0 state with a dec, each last
+        assert shape(emb) == (
+            [("a", 0, 2), ("b", 1, 1), ("__t_t4", 0, 0), ("__t_t5", 0, 0), ("__lose", 0, 1)],
+            [
+                ("t1", "a", "nop", "b"),
+                ("t2", "a", "dec(c)", "a"),
+                ("t3", "b", "nop", "a"),
+                ("t4__in", "b", "nop", "__t_t4"),
+                ("t4__do", "__t_t4", "inc(c)", "a"),
+                ("t5__in", "b", "nop", "__t_t5"),
+                ("t5__do", "__t_t5", "dec(c)", "b"),
+                ("__esc_a", "a", "nop", "__lose"),
+                ("t5__bail", "__t_t5", "nop", "__lose"),
+                ("__lose_loop", "__lose", "nop", "__lose"),
+            ],
+        )
+        assert [t.tid for t in emb.out("a")] == ["t1", "t2", "__esc_a"]
+
+    def test_no_decrement_no_losing_loop(self):
+        g = IntegerGame(MIXED.counters, MIXED.states,
+                        tuple(t for t in MIXED.transitions if t.op.kind != "dec"))
+        assert shape(energy_to_single_sided(g)) == (
+            [("a", 0, 2), ("b", 1, 1), ("__t_t4", 0, 0)],
+            [
+                ("t1", "a", "nop", "b"),
+                ("t3", "b", "nop", "a"),
+                ("t4__in", "b", "nop", "__t_t4"),
+                ("t4__do", "__t_t4", "inc(c)", "a"),
+            ],
+        )
+
+    def test_generated_names_are_fresh(self):
+        # an input state named like a middle state used to make two middle
+        # states collide ('__t_a_'); here the generated transition ids
+        # ('a__in', '__lose_loop') and the losing state collide too
+        g = IntegerGame(
+            ("c",),
+            (State("q", 1, 0), State("__t_a", 0, 2), State("__lose", 0, 2)),
+            (
+                Transition("a", "q", inc("c"), "__t_a"),
+                Transition("a_", "q", dec("c"), "q"),
+                Transition("a__in", "__t_a", dec("c"), "q"),
+                Transition("b", "__t_a", NOP_OP, "__lose"),
+                Transition("__lose_loop", "__lose", NOP_OP, "__t_a"),
+            ),
+        )
+        emb = energy_to_single_sided(g)
+        assert is_single_sided(emb)
+        for t in g.transitions[2:]:
+            assert emb.transition(t.tid) == t
+        assert {"__t_a_", "__t_a__", "__lose_"} <= set(emb.state_names())
+        plain, names = renamed(g)
+        fr, ref = pareto_energy(g, ["c"]), pareto_energy(plain, ["c"])
+        assert {q: sorted(e.items for e in ac) for q, ac in fr.items()} == {
+            q: sorted(e.items for e in ref[names[q]]) for q in g.state_names()}
+        assert any(len(ac) for ac in fr.values()) and any(not len(ac) for ac in fr.values())
+
+    def test_player0_game_named_like_a_middle_state(self):
+        g = IntegerGame(
+            ("c",),
+            (State("q", 0, 0), State("__t_a", 0, 0)),
+            (Transition("a", "q", inc("c"), "q"), Transition("a_", "q", NOP_OP, "q"),
+             Transition("b", "__t_a", NOP_OP, "__t_a")),
+        )
+        assert pareto_energy(g, ["c"]) == pareto_single_sided_vass(g, ["c"])
+
+    def test_same_frontiers_as_reference_embedding(self):
+        # the lean embedding against the one that split every transition
+        rng = random.Random(1)
+        compared = skipped = 0
+        for _ in range(1000):
+            g = random_counter_game(rng, rng.randint(2, 5), rng.randint(1, 2), single_sided=False)
+            try:
+                fr = pareto_energy(g, g.counters, Budget(deadline=time.monotonic() + 5))
+                ref = pareto_single_sided_vass(reference_energy_to_single_sided(g), g.counters,
+                                               Budget(deadline=time.monotonic() + 5))
+            except BudgetExceeded:
+                skipped += 1
+                continue
+            assert fr == {q: ref[q] for q in g.state_names()}
+            compared += 1
+        assert skipped <= 10 and compared + skipped == 1000
 
     def test_embedding_preserves_verdicts(self):
         rng = random.Random(77)
