@@ -23,7 +23,6 @@ from .core import (
     inc,
     is_single_sided,
     leq,
-    lt,
 )
 from .semantics import ENERGY, VASS, vass_step
 from .parity import FiniteParityGame, Strategy, solve_parity, verify_strategy

@@ -17,14 +17,12 @@ from .core import (
     State,
     Transition,
     check_deadlock_free,
+    complete_with_sinks,
     is_single_sided,
 )
 from .solver import ParetoTable
 
 TAU = "tau"
-
-WIN0 = "win0"
-LOSE0 = "lose0"
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,11 @@ def weaksim_game(
     process, Player 0 answers with weak (tau* a tau*) moves of the VASS.
 
     Challenge states carry color 2, so Player 0 wins iff it can answer every
-    challenge forever; running out of answers drops into an odd sink.  The
-    result is single-sided and passes the deadlock check."""
+    challenge forever.  complete_with_sinks makes a stuck player lose: a
+    challenge state without process moves escapes to a sink winning for
+    Player 0, an answer state whose VASS moves may all be blocked to a sink
+    losing for Player 0.  The result is single-sided and passes the deadlock
+    check."""
     lbl = {t.tid: labels.get(t.tid, TAU) for t in vass.transitions}
     actions = sorted({a for _, a, _ in fs.edges})
     vstates = [s.name for s in vass.states]
@@ -101,8 +102,6 @@ def weaksim_game(
             states.append(State(_reply(s, q), 0, 1))
             for a in actions:
                 states.append(State(_reply_mid(s, q, a), 0, 1))
-    states.append(State(WIN0, 1, 2))
-    states.append(State(LOSE0, 0, 1))
     transitions_by_label: Dict[str, List[Transition]] = {}
     for t in vass.transitions:
         transitions_by_label.setdefault(lbl[t.tid], []).append(t)
@@ -131,18 +130,7 @@ def weaksim_game(
                 if t.source == q:
                     add_t(_reply(s, q), t.op, _reply(s, t.target))
             add_t(_reply(s, q), NOP_OP, _challenge(s, q))
-    add_t(WIN0, NOP_OP, WIN0)
-    add_t(LOSE0, NOP_OP, LOSE0)
-
-    # states that may get stuck lose for their owner
-    game = IntegerGame(vass.counters, tuple(states), tuple(transitions))
-    extra: List[Transition] = []
-    for name in check_deadlock_free(game):
-        target = WIN0 if game.state(name).owner == 1 else LOSE0
-        extra.append(Transition("w%d" % (len(transitions) + len(extra)), name, NOP_OP, target))
-    if extra:
-        game = IntegerGame(vass.counters, tuple(states), tuple(transitions + extra))
-    return game
+    return complete_with_sinks(IntegerGame(vass.counters, tuple(states), tuple(transitions)))
 
 
 def check_weaksim(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 INC = "inc"
 DEC = "dec"
@@ -165,10 +165,6 @@ class IntegerGame:
             for s in self.states
         ])
 
-    @property
-    def max_color(self) -> int:
-        return max((s.color for s in self.states), default=0)
-
 
 def is_single_sided(game: IntegerGame) -> bool:
     """True iff every transition leaving a Player-1 state is a Nop."""
@@ -189,27 +185,36 @@ def check_deadlock_free(game: IntegerGame) -> List[str]:
     return bad
 
 
+def fresh(name: str, taken: Set[str]) -> str:
+    """Append underscores to name until it is not in taken, then claim it."""
+    while name in taken:
+        name += "_"
+    taken.add(name)
+    return name
+
+
 def complete_with_sinks(game: IntegerGame) -> IntegerGame:
-    """Give every state failing the deadlock check a Nop escape to an absorbing
-    sink that loses for the state's owner (color 1 for Player-0 states, color 0
-    for Player-1 states).  Rational players only use the escape when stuck, so
-    winning regions are unchanged while the result passes the syntactic check."""
+    """Give every state failing the deadlock check a Nop escape, last among
+    its moves, to an absorbing sink that loses for the state's owner (color 1
+    for Player-0 states, color 0 for Player-1 states).  A player only takes
+    the escape when stuck, so winning regions are unchanged while the result
+    passes the syntactic check.  Names are fresh against the input and each
+    other: __sink<owner>, __sinkloop<owner> and __stuck<i> unless taken."""
     bad = check_deadlock_free(game)
     if not bad:
         return game
+    names = set(game.state_names())
+    tids = {t.tid for t in game.transitions}
     states = list(game.states)
     transitions = list(game.transitions)
     sinks: Dict[int, str] = {}
     for i, name in enumerate(bad):
         owner = game.state(name).owner
         if owner not in sinks:
-            sink = "__sink%d" % owner
-            while game.has_state(sink):
-                sink += "_"
-            sinks[owner] = sink
+            sink = sinks[owner] = fresh("__sink%d" % owner, names)
             states.append(State(sink, 0, 1 if owner == 0 else 0))
-            transitions.append(Transition("__sinkloop%d" % owner, sink, NOP_OP, sink))
-        transitions.append(Transition("__stuck%d" % i, name, NOP_OP, sinks[owner]))
+            transitions.append(Transition(fresh("__sinkloop%d" % owner, tids), sink, NOP_OP, sink))
+        transitions.append(Transition(fresh("__stuck%d" % i, tids), name, NOP_OP, sinks[owner]))
     return IntegerGame(game.counters, tuple(states), tuple(transitions))
 
 
@@ -260,9 +265,6 @@ class PartialConfig:
         rest = tuple((c, v) for c, v in self.items if c != counter)
         return PartialConfig(self.state, rest + ((counter, value),))
 
-    def drop(self, counter: str) -> "PartialConfig":
-        return PartialConfig(self.state, tuple((c, v) for c, v in self.items if c != counter))
-
     def __str__(self) -> str:
         parts = " ".join("%s=%d" % (c, v) for c, v in self.items)
         return self.state + (" " + parts if parts else "")
@@ -276,10 +278,6 @@ def leq(a: PartialConfig, b: PartialConfig) -> bool:
         return False
     bv = dict(b.items)
     return all(v <= bv[c] for c, v in a.items)
-
-
-def lt(a: PartialConfig, b: PartialConfig) -> bool:
-    return leq(a, b) and a != b
 
 
 class Antichain:
@@ -339,14 +337,6 @@ class Ideal:
     @property
     def finite_coords(self) -> Tuple[Tuple[str, int], ...]:
         return tuple((c, b) for c, b in self.bounds if b is not None)
-
-    def contains(self, gamma: PartialConfig) -> bool:
-        if gamma.state != self.state:
-            return False
-        bd = dict(self.bounds)
-        if set(bd) != gamma.dom:
-            return False
-        return all(bd[c] is None or v <= bd[c] for c, v in gamma.items)
 
     def subsumed_by(self, other: "Ideal") -> bool:
         if self.state != other.state:

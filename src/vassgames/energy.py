@@ -12,7 +12,9 @@ and for more counters it is decided with an exact integer simplex plus
 support pruning.
 
 The single-sided embedding of energy games splits only Player-1 counter
-updates and adds losing escapes only where a decrement can block.
+updates.  Its losing escapes come from core.complete_with_sinks, which adds
+one exactly at the states whose every move is a decrement: the only states
+that counters at 0 can leave without a move.
 """
 from __future__ import annotations
 
@@ -23,12 +25,13 @@ from . import _simplex
 from .core import (
     Budget,
     BudgetExceeded,
-    DEC,
     IntegerGame,
     NOP,
     NOP_OP,
     State,
     Transition,
+    complete_with_sinks,
+    fresh,
 )
 from .parity import FiniteParityGame, solve_parity
 
@@ -305,45 +308,28 @@ def energy_to_single_sided(game: IntegerGame) -> IntegerGame:
     verdicts on the original states coincide with the energy verdicts.
 
     Transitions keep their ids and order, but a Player-1 counter update is
-    split by a fresh color-0 Player-0 middle state entered by a nop.  A middle
-    state firing a dec, and each Player-0 state with a dec, get one escape
-    (last among their moves) to a color-1 losing loop.  Sound: a move taking
-    a counter below 0 loses at once under energy semantics, so disabling a
-    Player-0 dec at 0 changes no verdict while the state keeps its escape,
-    which only ever loses; a Player-1 dec at 0 forces its middle state onto
-    the escape, exactly the energy loss; and color-0 middle states never
-    change a cycle's highest color, colors being max-parity and nonnegative.
-    Generated names are fresh against the input and each other."""
+    split by a fresh color-0 Player-0 middle state entered by a nop; then
+    complete_with_sinks gives every state whose moves are all decs (a middle
+    state firing a dec among them) an escape to a losing sink.  Sound: a move
+    taking a counter below 0 loses at once under energy semantics, so
+    disabling a Player-0 dec at 0 changes no verdict: the state keeps a nop
+    or inc, or else the escape, which only ever loses; a Player-1 dec at 0
+    forces its middle state onto the escape, exactly the energy loss; and
+    color-0 middle states never change a cycle's highest color, colors being
+    max-parity and nonnegative.  Generated names are fresh against the input
+    and each other."""
     state_names = set(game.state_names())
     tids = {t.tid for t in game.transitions}
-
-    def fresh(name: str, taken: Set[str]) -> str:
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        return name
-
     states: List[State] = list(game.states)
     transitions: List[Transition] = []
-    escapes: Dict[str, str] = {}  # escaping state -> escape id, in order
     for t in game.transitions:
         if t.op.kind != NOP and game.state(t.source).owner == 1:
             mid = fresh("__t_%s" % t.tid, state_names)
             states.append(State(mid, 0, 0))
             transitions.append(Transition(fresh("%s__in" % t.tid, tids), t.source, NOP_OP, mid))
-            if t.op.kind == DEC:
-                escapes[mid] = "%s__bail" % t.tid
             t = Transition(fresh("%s__do" % t.tid, tids), mid, t.op, t.target)
-        elif t.op.kind == DEC:
-            escapes.setdefault(t.source, "__esc_%s" % t.source)
         transitions.append(t)
-    if escapes:
-        lose = fresh("__lose", state_names)
-        states.append(State(lose, 0, 1))
-        for q, tid in escapes.items():
-            transitions.append(Transition(fresh(tid, tids), q, NOP_OP, lose))
-        transitions.append(Transition(fresh("__lose_loop", tids), lose, NOP_OP, lose))
-    return IntegerGame(game.counters, tuple(states), tuple(transitions))
+    return complete_with_sinks(IntegerGame(game.counters, tuple(states), tuple(transitions)))
 
 
 def pareto_energy(

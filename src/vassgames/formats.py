@@ -30,6 +30,7 @@ from .core import (
     PartialConfig,
     State,
     Transition,
+    fresh,
 )
 from .applications import FiniteLTS
 
@@ -101,23 +102,25 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
     transitions: List[Transition] = []
     labels: Dict[str, str] = {}
 
-    state_names = {s.name for s in states}
+    owners = {s.name: s.owner for s in states}
+    # hop names are fresh against every declared state and id
+    state_names = set(owners)
+    tids = {r[0] for r in raw_trans}
     for tid, source, op, rep, target, label in raw_trans:
         if rep == 1:
             transitions.append(Transition(tid, source, op, target))
             if label is not None:
                 labels[tid] = label
             continue
-        if source not in state_names:
+        if source not in owners:
             raise ValueError("transition %r uses unknown state %r" % (tid, source))
-        owner = next(s.owner for s in states if s.name == source)
         prev = source
         for i in range(rep):
             last = i == rep - 1
-            nxt = target if last else "%s__s%d" % (tid, i + 1)
+            nxt = target if last else fresh("%s__s%d" % (tid, i + 1), state_names)
             if not last:
-                all_states.append(State(nxt, owner, 0))
-            hop = tid if i == 0 else "%s__h%d" % (tid, i)
+                all_states.append(State(nxt, owners[source], 0))
+            hop = tid if i == 0 else fresh("%s__h%d" % (tid, i), tids)
             transitions.append(Transition(hop, prev, op, nxt))
             if label is not None:
                 labels[hop] = label if i == 0 else "tau"

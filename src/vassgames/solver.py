@@ -312,11 +312,16 @@ def vj_minimize(
     The oracle must answer, for a partial configuration, whether some full
     instantiation belongs to the set; omega coordinates of the complement
     ideals are probed as undefined counters, finite coordinates by direct
-    enumeration up to the bound."""
+    enumeration up to the bound.  Every probe, witness extraction included,
+    first checks the deadline."""
     budget = budget or Budget()
+
+    def probe(g: PartialConfig) -> bool:
+        budget.check_time("Valk-Jantzen minimisation")
+        return query(g)
+
     minima: List[PartialConfig] = []
     while True:
-        budget.check_time("Valk-Jantzen minimisation")
         ideals = complement_ideals(sorted(minima, key=lambda g: g.items), counters_order, state)
         hit: Optional[PartialConfig] = None
         for ideal in sorted(ideals, key=lambda i: str(i.bounds)):
@@ -324,14 +329,14 @@ def vj_minimize(
             names = [c for c, _ in finite]
             for vec in itertools.product(*[range(b + 1) for _, b in finite]):
                 g = PartialConfig(state, tuple(zip(names, vec)))
-                if query(g):
+                if probe(g):
                     hit = g
                     break
             if hit is not None:
                 break
         if hit is None:
             return Antichain(minima)
-        new = _extract_minimal(query, hit, counters_order)
+        new = _extract_minimal(probe, hit, counters_order)
         if any(leq(m, new) or leq(new, m) for m in minima):
             raise RuntimeError("oracle is not upward closed: %s overlaps known minima" % new)
         minima.append(new)

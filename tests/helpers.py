@@ -28,6 +28,7 @@ from vassgames.core import (
     CounterOp,
     DEC,
     INC,
+    Ideal,
     IntegerGame,
     NOP_OP,
     PartialConfig,
@@ -35,12 +36,35 @@ from vassgames.core import (
     Transition,
     is_single_sided,
     leq,
-    lt,
 )
 from vassgames.bounded import OVERFLOW_WINS_P0, SATURATE
 from vassgames.parity import FiniteParityGame, solve_parity
 from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import OutGame
+
+
+# ---------------------------------------------------------------------------
+# naive order, projection and box membership
+
+
+def lt(a: PartialConfig, b: PartialConfig) -> bool:
+    return leq(a, b) and a != b
+
+
+def drop(gamma: PartialConfig, counter: str) -> PartialConfig:
+    """gamma with counter removed from its domain."""
+    return PartialConfig(gamma.state, tuple((c, v) for c, v in gamma.items if c != counter))
+
+
+def ideal_contains(ideal: Ideal, gamma: PartialConfig) -> bool:
+    """Same state, same domain, and every value within its bound."""
+    bounds = dict(ideal.bounds)
+    return (gamma.state == ideal.state and set(bounds) == gamma.dom
+            and all(bounds[c] is None or v <= bounds[c] for c, v in gamma.items))
+
+
+def highest_color(game: IntegerGame) -> int:
+    return max((s.color for s in game.states), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +354,7 @@ def reference_covered_by(beta: Iterable[PartialConfig], gamma: PartialConfig) ->
     element of beta (matching state and domain)."""
     beta = list(beta)
     for c in sorted(gamma.dom):
-        dropped = gamma.drop(c)
+        dropped = drop(gamma, c)
         if not any(leq(b, dropped) for b in beta):
             return False
     return True

@@ -43,7 +43,26 @@ class TestExitCodes:
     def test_deadlock_repaired_with_flag(self, capsys):
         code, out, _ = run_cli(capsys, "solve-abstract", G2, "--complete-sinks")
         assert code == 0
-        assert "q0: player1" in out
+        assert out == "q0: player1\n__sink1: player0\n"
+
+    def test_repair_ids_fresh_against_input(self, capsys, tmp_path):
+        # q1 can only decrement, so its escape would be '__stuck0', the id of
+        # an input transition; the repair used to exit 2 on the duplicate
+        text = (
+            "counters c\n"
+            "state q0 owner=0 color=0\n"
+            "state q1 owner=0 color=2\n"
+            "trans __stuck0: q0 inc(c) q1\n"
+            "trans t2: q1 dec(c) q0\n"
+        )
+        outs = []
+        for name, body in (("clash", text), ("plain", text.replace("__stuck0", "t1"))):
+            p = tmp_path / (name + ".game")
+            p.write_text(body)
+            code, out, _ = run_cli(capsys, "pareto", str(p), "--complete-sinks")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == "q0: (c=0)\nq1: (c=1)\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve-abstract", os.path.join(DATA, "nope.game"))
@@ -156,6 +175,33 @@ class TestFormats:
         # the label sits on the first hop, the rest are internal
         assert labels[hops[0].tid] == "a"
         assert all(labels[t.tid] == "tau" for t in hops[1:])
+
+    def test_hop_names_fresh_against_declared_names(self, capsys, tmp_path):
+        # the hops of t1 would be named like the declared state t1__s1 or
+        # the declared transition t1__h1; both used to exit 2 on a duplicate
+        base = (
+            "counters c\n"
+            "state q0 owner=0 color=2\n"
+            "state r owner=0 color=1\n"
+            "state %s owner=0 color=0\n"
+            "trans t0: %s nop r\n"
+            "trans t1: q0 inc(c,2) %s\n"
+            "trans t2: %s dec(c) q0\n"
+            "trans %s: r nop r\n"
+        )
+        cases = (
+            ("t1__s1", "t3", "t1__s1_", "t1__h1", "q0: (c=0)\nt1__s1: (c=1)\nt1__s1_: (c=0)\n"),
+            ("p", "t1__h1", "t1__s1", "t1__h1_", "q0: (c=0)\np: (c=1)\nt1__s1: (c=0)\n"),
+        )
+        for state, tid, hop_state, hop_id, frontier in cases:
+            text = base % (state, state, state, state, tid)
+            game, _ = formats.parse_game(text)
+            assert hop_state in game.state_names() and game.transition(hop_id).source == hop_state
+            p = tmp_path / "hops.game"
+            p.write_text(text)
+            code, out, _ = run_cli(capsys, "pareto", str(p))
+            assert code == 0
+            assert out == frontier
 
     def test_zero_repeat_rejected(self, capsys, tmp_path):
         # inc(c,0) used to drop the transition, so pareto answered for

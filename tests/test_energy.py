@@ -232,10 +232,11 @@ class TestEmbedding:
     def test_shape(self):
         emb = energy_to_single_sided(MIXED)
         assert is_single_sided(emb)
-        # middle states only for the Player-1 inc and dec; escapes only from
-        # the dec middle state and the Player-0 state with a dec, each last
+        # middle states only for the Player-1 inc and dec; the one escape,
+        # from complete_with_sinks, leaves the dec middle state, the only
+        # state whose every move is a dec, and comes last among its moves
         assert shape(emb) == (
-            [("a", 0, 2), ("b", 1, 1), ("__t_t4", 0, 0), ("__t_t5", 0, 0), ("__lose", 0, 1)],
+            [("a", 0, 2), ("b", 1, 1), ("__t_t4", 0, 0), ("__t_t5", 0, 0), ("__sink0", 0, 1)],
             [
                 ("t1", "a", "nop", "b"),
                 ("t2", "a", "dec(c)", "a"),
@@ -244,12 +245,12 @@ class TestEmbedding:
                 ("t4__do", "__t_t4", "inc(c)", "a"),
                 ("t5__in", "b", "nop", "__t_t5"),
                 ("t5__do", "__t_t5", "dec(c)", "b"),
-                ("__esc_a", "a", "nop", "__lose"),
-                ("t5__bail", "__t_t5", "nop", "__lose"),
-                ("__lose_loop", "__lose", "nop", "__lose"),
+                ("__sinkloop0", "__sink0", "nop", "__sink0"),
+                ("__stuck0", "__t_t5", "nop", "__sink0"),
             ],
         )
-        assert [t.tid for t in emb.out("a")] == ["t1", "t2", "__esc_a"]
+        assert [t.tid for t in emb.out("a")] == ["t1", "t2"]
+        assert [t.tid for t in emb.out("__t_t5")] == ["t5__do", "__stuck0"]
 
     def test_no_decrement_no_losing_loop(self):
         g = IntegerGame(MIXED.counters, MIXED.states,
@@ -267,23 +268,23 @@ class TestEmbedding:
     def test_generated_names_are_fresh(self):
         # an input state named like a middle state used to make two middle
         # states collide ('__t_a_'); here the generated transition ids
-        # ('a__in', '__lose_loop') and the losing state collide too
+        # ('a__in', '__sinkloop0') and the sink state collide too
         g = IntegerGame(
             ("c",),
-            (State("q", 1, 0), State("__t_a", 0, 2), State("__lose", 0, 2)),
+            (State("q", 1, 0), State("__t_a", 0, 2), State("__sink0", 0, 2)),
             (
                 Transition("a", "q", inc("c"), "__t_a"),
                 Transition("a_", "q", dec("c"), "q"),
                 Transition("a__in", "__t_a", dec("c"), "q"),
-                Transition("b", "__t_a", NOP_OP, "__lose"),
-                Transition("__lose_loop", "__lose", NOP_OP, "__t_a"),
+                Transition("b", "__t_a", NOP_OP, "__sink0"),
+                Transition("__sinkloop0", "__sink0", NOP_OP, "__t_a"),
             ),
         )
         emb = energy_to_single_sided(g)
         assert is_single_sided(emb)
         for t in g.transitions[2:]:
             assert emb.transition(t.tid) == t
-        assert {"__t_a_", "__t_a__", "__lose_"} <= set(emb.state_names())
+        assert {"__t_a_", "__t_a__", "__sink0_"} <= set(emb.state_names())
         plain, names = renamed(g)
         fr, ref = pareto_energy(g, ["c"]), pareto_energy(plain, ["c"])
         assert {q: sorted(e.items for e in ac) for q, ac in fr.items()} == {

@@ -247,6 +247,21 @@ class TestVJ:
         result = vj_minimize(lambda g: True, "q", ("c1", "c2"))
         assert set(result) == {pc("q", c1=0, c2=0)}
 
+    def test_deadline_checked_on_every_probe(self):
+        # the first probe passes the deadline; witness extraction used to
+        # probe c1 upward to 100 before the next deadline check
+        budget = Budget(deadline=time.monotonic() + 60)
+        probes = []
+
+        def query(gamma):
+            probes.append(gamma)
+            budget.deadline = time.monotonic() - 1
+            return gamma.get("c1") is None or gamma.get("c1") >= 100
+
+        with pytest.raises(BudgetExceeded, match="Valk-Jantzen"):
+            vj_minimize(query, "q", ("c1",), budget)
+        assert probes == [pc("q")]
+
 
 class TestPareto:
     def test_pump_game_frontier(self):
