@@ -30,14 +30,22 @@ EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the budget, cap and size flags: a nonnegative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %s" % text)
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, nodes: bool = True, deadline: bool = True, sinks: bool = True) -> None:
     """Register the shared flags a command reads: --format always, the
     budgets its solvers apply, --complete-sinks for commands that load a game
     through the deadlock check."""
     if nodes:
-        p.add_argument("--node-budget", type=int, default=100000, help="out-game node limit")
+        p.add_argument("--node-budget", type=_nonnegative_int, default=100000, help="out-game node limit")
     if deadline:
-        p.add_argument("--time-budget-ms", type=int, default=0, help="soft wall clock limit (0 = none)")
+        p.add_argument("--time-budget-ms", type=_nonnegative_int, default=0, help="soft wall clock limit (0 = none)")
     if sinks:
         p.add_argument(
             "--complete-sinks", action="store_true", help="repair deadlock-check failures with losing sinks"
@@ -134,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded-cap bracket verdict at a concrete configuration")
     p.add_argument("game")
     p.add_argument("--config", required=True)
-    p.add_argument("--cap", type=int, default=64, help="largest cap tried")
+    p.add_argument("--cap", type=_nonnegative_int, default=64, help="largest cap tried")
     p.add_argument("--semantics", choices=[ENERGY, VASS], default=VASS)
     _add_common(p, nodes=False, deadline=False, sinks=False)
 
     p = sub.add_parser("generate", help="emit a deterministic random game file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--states", type=int, default=4)
-    p.add_argument("--counters", type=int, default=1)
+    p.add_argument("--states", type=_nonnegative_int, default=4)
+    p.add_argument("--counters", type=_nonnegative_int, default=1)
     p.add_argument("--general", action="store_true", help="allow Player-1 counter updates")
 
     return ap

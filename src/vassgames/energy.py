@@ -6,10 +6,18 @@ Player 1 has positional optimal strategies for this objective, so the solver
 enumerates Player-1 positional strategies and analyses each induced
 one-player graph: Player 0 wins from a state iff it can reach a vertex v of
 even color d that lies on a closed walk with componentwise nonnegative effect
-inside the subgraph of colors <= d.  Closed-walk existence is a circulation
-feasibility question; for one counter it reduces to longest-path reasoning
-and for more counters it is decided with an exact integer simplex plus
-support pruning.
+inside the subgraph of colors <= d.  Such a walk stays inside one strongly
+connected component, so each component's inner edges are tested once.
+
+For one counter, a Bellman-Ford longest-path pass from all vertices at 0
+either still improves after |V| rounds, and then a positive cycle exists and
+every vertex of the component can pump it, or it settles on potentials p
+with p(v) >= p(u) + w on every edge u -> v.  A cycle's effect is then the
+sum of the nonpositive slacks p(u) + w - p(v) along it, so it is at most 0
+and equals 0 iff every edge is tight; a closed walk splits into cycles, so
+one through v with nonnegative effect exists iff v lies on a cycle of tight
+edges.  For more counters, closed-walk existence is circulation feasibility,
+decided with an exact integer simplex plus support pruning.
 
 The single-sided embedding of energy games splits only Player-1 counter
 updates.  Its losing escapes come from core.complete_with_sinks, which adds
@@ -35,90 +43,72 @@ from .core import (
 )
 from .parity import FiniteParityGame, solve_parity
 
-NEG_INF = None  # marker for "unreachable" in longest-path tables
 
-
-def _tarjan_sccs(n: int, adj: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Iterative Tarjan; returns SCCs as lists of vertex indices."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
+def _inner_edges(edges: List[Tuple[int, int, Tuple[int, ...]]], ids: Sequence[int]) -> List[List[int]]:
+    """The edges among ids that lie inside a strongly connected component of
+    the graph they form, grouped by component, each group in ids order.
+    Iterative Tarjan over the vertices those edges touch."""
+    succ: Dict[int, List[int]] = {}
+    for i in ids:
+        u, v, _ = edges[i]
+        succ.setdefault(u, []).append(v)
+        succ.setdefault(v, [])
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    comp: Dict[int, int] = {}  # a visited vertex is on the stack until it gets one
     stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = [1]
-    for root in range(n):
-        if visited[root]:
+    for root in succ:
+        if root in index:
             continue
-        work = [(root, iter(adj[root]))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if w not in index:
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
+                if w not in comp:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    groups: Dict[int, List[int]] = {}
+    for i in ids:
+        u, v, _ = edges[i]
+        if comp[u] == comp[v]:
+            groups.setdefault(comp[u], []).append(i)
+    return list(groups.values())
 
 
-def _has_positive_cycle(verts: Set[int], edges: List[Tuple[int, int, int]]) -> bool:
-    """One-dimensional effect: is there a cycle with strictly positive sum?"""
-    dist = {v: 0 for v in verts}
-    for _ in range(len(verts)):
+def _good_1d(ids: List[int], edges: List[Tuple[int, int, Tuple[int, ...]]]) -> Set[int]:
+    """Vertices of one strongly connected group of one-counter edges that lie
+    on a closed walk with nonnegative effect (see the module docstring)."""
+    scalar = [(edges[i][0], edges[i][1], edges[i][2][0]) for i in ids]
+    dist = {u: 0 for u, _, _ in scalar}
+    for _ in range(len(dist)):
         changed = False
-        for u, v, w in edges:
+        for u, v, w in scalar:
             if dist[u] + w > dist[v]:
                 dist[v] = dist[u] + w
                 changed = True
         if not changed:
-            return False
-    return changed
-
-
-def _best_closed_walk(v0: int, verts: Set[int], edges: List[Tuple[int, int, int]]) -> Optional[int]:
-    """Max effect of a closed walk through v0 (assumes no positive cycle)."""
-    dist: Dict[int, Optional[int]] = {v: NEG_INF for v in verts}
-    dist[v0] = 0
-    for _ in range(max(len(verts) - 1, 1)):
-        for u, v, w in edges:
-            du = dist[u]
-            if du is not None and (dist[v] is None or du + w > dist[v]):
-                dist[v] = du + w
-    best: Optional[int] = None
-    for u, v, w in edges:
-        if v == v0 and dist[u] is not None:
-            cand = dist[u] + w
-            if best is None or cand > best:
-                best = cand
-    return best
+            break
+    else:
+        return set(dist)  # still improving after |V| rounds: a positive cycle
+    tight = [i for i, (u, v, w) in zip(ids, scalar) if dist[v] == dist[u] + w]
+    return {edges[i][0] for group in _inner_edges(edges, tight) for i in group}
 
 
 def _circulation_feasible(
@@ -151,33 +141,17 @@ def _circulation_feasible(
 
 def _good_multi(
     v0: int,
-    edge_ids: List[int],
+    ids: List[int],
     edges: List[Tuple[int, int, Tuple[int, ...]]],
     dims: int,
 ) -> bool:
     """Support-pruning fixpoint: keep edges usable by some nonnegative-effect
     circulation, restrict to the strongly connected piece around v0, repeat.
     Feasible iff the fixpoint still touches v0."""
-    active = list(edge_ids)
+    active = ids
     while active:
         kept = [e for e in active if _circulation_feasible(edges, active, e, dims)]
-        if not kept:
-            return False
-        verts = sorted({edges[e][0] for e in kept} | {edges[e][1] for e in kept})
-        vpos = {v: i for i, v in enumerate(verts)}
-        adj: List[List[int]] = [[] for _ in verts]
-        for e in kept:
-            adj[vpos[edges[e][0]]].append(vpos[edges[e][1]])
-        comp_of = {}
-        for comp in _tarjan_sccs(len(verts), adj):
-            for i in comp:
-                comp_of[verts[i]] = id(comp)
-        if v0 not in comp_of:
-            return False
-        cv = comp_of[v0]
-        nxt = [e for e in kept if comp_of[edges[e][0]] == cv and comp_of[edges[e][1]] == cv]
-        if not any(edges[e][0] == v0 or edges[e][1] == v0 for e in nxt):
-            return False
+        nxt = next((g for g in _inner_edges(edges, kept) if any(edges[e][0] == v0 for e in g)), [])
         if nxt == active:
             return True
         active = nxt
@@ -191,44 +165,25 @@ def _one_player_win_set(
     dims: int,
 ) -> Set[int]:
     """States from which the single remaining player (Player 0) wins the
-    abstract energy parity objective in a fixed graph."""
+    abstract energy parity objective in a fixed graph.
+
+    A vertex of even color d is good when it lies on a closed walk with
+    nonnegative effect among the vertices of color <= d; Player 0 wins from
+    the states that reach a good vertex.  Such a walk stays inside one SCC of
+    that subgraph, so each SCC's inner edges are tested once: for one counter
+    by _good_1d, whose Bellman-Ford potentials leave exactly the zero-effect
+    cycles on tight edges, for more by the support-pruning fixpoint."""
     good: Set[int] = set()
-    for d in sorted({colors[v] for v in range(n) if colors[v] % 2 == 0}):
-        verts = [v for v in range(n) if colors[v] <= d]
-        vset = set(verts)
-        sub = [(i, e) for i, e in enumerate(edges) if e[0] in vset and e[1] in vset]
-        if not sub:
-            continue
-        comps: List[List[int]] = []
-        # restrict Tarjan to the sub-vertices via a compact relabeling
-        vmap = {v: i for i, v in enumerate(verts)}
-        radj: List[List[int]] = [[] for _ in verts]
-        for _, (u, v, _dl) in sub:
-            radj[vmap[u]].append(vmap[v])
-        for comp in _tarjan_sccs(len(verts), radj):
-            comps.append([verts[i] for i in comp])
-        for comp in comps:
-            cset = set(comp)
-            cand = [v for v in comp if colors[v] == d and v not in good]
+    for d in sorted({c for c in colors if c % 2 == 0}):
+        sub = [i for i, (u, v, _) in enumerate(edges) if colors[u] <= d and colors[v] <= d]
+        for group in _inner_edges(edges, sub):
+            cand = {edges[i][0] for i in group if colors[edges[i][0]] == d} - good
             if not cand:
                 continue
-            comp_edges = [(i, e) for i, e in sub if e[0] in cset and e[1] in cset]
-            if not comp_edges:
-                continue
             if dims == 1:
-                scalar = [(u, v, dl[0]) for _, (u, v, dl) in comp_edges]
-                if _has_positive_cycle(cset, scalar):
-                    good.update(cand)
-                else:
-                    for v0 in cand:
-                        best = _best_closed_walk(v0, cset, scalar)
-                        if best is not None and best >= 0:
-                            good.add(v0)
+                good |= cand & _good_1d(group, edges)
             else:
-                ids = [i for i, _ in comp_edges]
-                for v0 in cand:
-                    if _good_multi(v0, ids, edges, dims):
-                        good.add(v0)
+                good.update([v0 for v0 in cand if _good_multi(v0, group, edges, dims)])
     # backward reachability to a good vertex, over all edges
     pred: List[List[int]] = [[] for _ in range(n)]
     for u, v, _dl in edges:

@@ -165,13 +165,13 @@ def parse_config(game: IntegerGame, text: str) -> PartialConfig:
     state = parts[0]
     if not game.has_state(state):
         raise ValueError("unknown state %r" % state)
-    vals: Dict[str, int] = {}
+    items = []
     for p in parts[1:]:
         c, eq, v = p.partition("=")
         if not eq or c not in game.counters:
             raise ValueError("bad counter assignment %r" % p)
-        vals[c] = int(v)
-    return PartialConfig.make(state, vals)
+        items.append((c, int(v)))
+    return PartialConfig(state, tuple(items))
 
 
 def format_element(game: IntegerGame, gamma: PartialConfig) -> str:

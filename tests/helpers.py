@@ -38,6 +38,7 @@ from vassgames.core import (
     leq,
 )
 from vassgames.bounded import OVERFLOW_WINS_P0, SATURATE
+from vassgames.energy import _circulation_feasible
 from vassgames.parity import FiniteParityGame, solve_parity
 from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import OutGame
@@ -688,3 +689,189 @@ def reference_energy_to_single_sided(game: IntegerGame) -> IntegerGame:
         transitions.append(Transition("%s__bail" % t.tid, mid, NOP_OP, lose))
     transitions.append(Transition("__lose_loop", lose, NOP_OP, lose))
     return IntegerGame(game.counters, tuple(states), tuple(transitions))
+
+
+# ---------------------------------------------------------------------------
+# reference one-player check: the Tarjan, Bellman-Ford and support-pruning
+# code that energy._one_player_win_set replaced, kept verbatim.  It must give
+# the same winning set on every graph.
+
+NEG_INF = None  # marker for "unreachable" in longest-path tables
+
+
+def _tarjan_sccs(n: int, adj: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Iterative Tarjan; returns SCCs as lists of vertex indices."""
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    visited = [False] * n
+    stack: List[int] = []
+    sccs: List[List[int]] = []
+    counter = [1]
+    for root in range(n):
+        if visited[root]:
+            continue
+        work = [(root, iter(adj[root]))]
+        visited[root] = True
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if not visited[w]:
+                    visited[w] = True
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
+def _has_positive_cycle(verts: Set[int], edges: List[Tuple[int, int, int]]) -> bool:
+    """One-dimensional effect: is there a cycle with strictly positive sum?"""
+    dist = {v: 0 for v in verts}
+    for _ in range(len(verts)):
+        changed = False
+        for u, v, w in edges:
+            if dist[u] + w > dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            return False
+    return changed
+
+
+def _best_closed_walk(v0: int, verts: Set[int], edges: List[Tuple[int, int, int]]) -> Optional[int]:
+    """Max effect of a closed walk through v0 (assumes no positive cycle)."""
+    dist: Dict[int, Optional[int]] = {v: NEG_INF for v in verts}
+    dist[v0] = 0
+    for _ in range(max(len(verts) - 1, 1)):
+        for u, v, w in edges:
+            du = dist[u]
+            if du is not None and (dist[v] is None or du + w > dist[v]):
+                dist[v] = du + w
+    best: Optional[int] = None
+    for u, v, w in edges:
+        if v == v0 and dist[u] is not None:
+            cand = dist[u] + w
+            if best is None or cand > best:
+                best = cand
+    return best
+
+
+def _good_multi(
+    v0: int,
+    edge_ids: List[int],
+    edges: List[Tuple[int, int, Tuple[int, ...]]],
+    dims: int,
+) -> bool:
+    """Support-pruning fixpoint: keep edges usable by some nonnegative-effect
+    circulation, restrict to the strongly connected piece around v0, repeat.
+    Feasible iff the fixpoint still touches v0."""
+    active = list(edge_ids)
+    while active:
+        kept = [e for e in active if _circulation_feasible(edges, active, e, dims)]
+        if not kept:
+            return False
+        verts = sorted({edges[e][0] for e in kept} | {edges[e][1] for e in kept})
+        vpos = {v: i for i, v in enumerate(verts)}
+        adj: List[List[int]] = [[] for _ in verts]
+        for e in kept:
+            adj[vpos[edges[e][0]]].append(vpos[edges[e][1]])
+        comp_of = {}
+        for comp in _tarjan_sccs(len(verts), adj):
+            for i in comp:
+                comp_of[verts[i]] = id(comp)
+        if v0 not in comp_of:
+            return False
+        cv = comp_of[v0]
+        nxt = [e for e in kept if comp_of[edges[e][0]] == cv and comp_of[edges[e][1]] == cv]
+        if not any(edges[e][0] == v0 or edges[e][1] == v0 for e in nxt):
+            return False
+        if nxt == active:
+            return True
+        active = nxt
+    return False
+
+
+def _one_player_win_set(
+    n: int,
+    colors: Sequence[int],
+    edges: List[Tuple[int, int, Tuple[int, ...]]],
+    dims: int,
+) -> Set[int]:
+    """States from which the single remaining player (Player 0) wins the
+    abstract energy parity objective in a fixed graph."""
+    good: Set[int] = set()
+    for d in sorted({colors[v] for v in range(n) if colors[v] % 2 == 0}):
+        verts = [v for v in range(n) if colors[v] <= d]
+        vset = set(verts)
+        sub = [(i, e) for i, e in enumerate(edges) if e[0] in vset and e[1] in vset]
+        if not sub:
+            continue
+        comps: List[List[int]] = []
+        # restrict Tarjan to the sub-vertices via a compact relabeling
+        vmap = {v: i for i, v in enumerate(verts)}
+        radj: List[List[int]] = [[] for _ in verts]
+        for _, (u, v, _dl) in sub:
+            radj[vmap[u]].append(vmap[v])
+        for comp in _tarjan_sccs(len(verts), radj):
+            comps.append([verts[i] for i in comp])
+        for comp in comps:
+            cset = set(comp)
+            cand = [v for v in comp if colors[v] == d and v not in good]
+            if not cand:
+                continue
+            comp_edges = [(i, e) for i, e in sub if e[0] in cset and e[1] in cset]
+            if not comp_edges:
+                continue
+            if dims == 1:
+                scalar = [(u, v, dl[0]) for _, (u, v, dl) in comp_edges]
+                if _has_positive_cycle(cset, scalar):
+                    good.update(cand)
+                else:
+                    for v0 in cand:
+                        best = _best_closed_walk(v0, cset, scalar)
+                        if best is not None and best >= 0:
+                            good.add(v0)
+            else:
+                ids = [i for i, _ in comp_edges]
+                for v0 in cand:
+                    if _good_multi(v0, ids, edges, dims):
+                        good.add(v0)
+    # backward reachability to a good vertex, over all edges
+    pred: List[List[int]] = [[] for _ in range(n)]
+    for u, v, _dl in edges:
+        pred[v].append(u)
+    win = set(good)
+    queue = list(good)
+    while queue:
+        v = queue.pop()
+        for u in pred[v]:
+            if u not in win:
+                win.add(u)
+                queue.append(u)
+    return win

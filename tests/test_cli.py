@@ -101,6 +101,21 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "solve-abstract", G1, "--time-budget-ms", "5000", "--format", "json")
         assert code == 0 and json.loads(out)["budget"] == {"time_budget_ms": 5000}
 
+    def test_negative_counts_rejected(self, capsys):
+        # budgets, the cap and generator sizes are counts: a negative one is
+        # a usage error, not a budget already spent or an empty game
+        for argv in (
+            ["pareto", G1, "--node-budget", "-1"],
+            ["pareto", G1, "--time-budget-ms", "-5"],
+            ["oracle", G1, "--config", "q0 c=1", "--cap", "-1"],
+            ["generate", "--seed", "7", "--states", "-2"],
+            ["generate", "--seed", "7", "--counters", "-1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "nonnegative" in capsys.readouterr().err
+
     def test_deadline_stops_strategy_enumeration(self, capsys, tmp_path):
         # over 200,000 Player-1 strategies, none of which empties Player 0's
         # winning set early
@@ -230,6 +245,8 @@ class TestFormats:
             formats.parse_config(game, "nope c=1")
         with pytest.raises(ValueError):
             formats.parse_config(game, "q0 d=1")
+        with pytest.raises(ValueError):
+            formats.parse_config(game, "q0 c=1 c=0")
 
 
 class TestFrontEnds:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from helpers import _one_player_win_set as reference_one_player_win_set
 from helpers import random_counter_game, reference_energy_to_single_sided, reference_feasible
 from vassgames import _simplex
 from vassgames._simplex import feasible
@@ -22,6 +23,7 @@ from vassgames.core import (
     is_single_sided,
 )
 from vassgames.energy import (
+    _one_player_win_set,
     energy_to_single_sided,
     pareto_energy,
     solve_abstract_energy_parity,
@@ -150,6 +152,48 @@ class TestAbstract:
         )
         assert solve_abstract_energy_parity(g) == {"a": 1, "b": 1}
 
+    def test_top_color_only_on_a_draining_cycle(self):
+        # one SCC: the color-2 state a lies only on the -1 cycle a b a, the
+        # 0 cycle b c b misses it and has top color 1
+        g = IntegerGame(
+            ("x",),
+            (State("a", 0, 2), State("b", 0, 1), State("c", 0, 0)),
+            (
+                Transition("t1", "a", dec("x"), "b"),
+                Transition("t2", "b", NOP_OP, "a"),
+                Transition("t3", "b", NOP_OP, "c"),
+                Transition("t4", "c", NOP_OP, "b"),
+            ),
+        )
+        assert solve_abstract_energy_parity(g) == {"a": 1, "b": 1, "c": 1}
+
+    def test_pump_and_drain_cycles_share_the_state(self):
+        g = IntegerGame(
+            ("x",),
+            (State("a", 0, 2), State("up", 0, 1), State("down", 0, 1)),
+            (
+                Transition("t1", "a", inc("x"), "up"),
+                Transition("t2", "up", NOP_OP, "a"),
+                Transition("t3", "a", dec("x"), "down"),
+                Transition("t4", "down", NOP_OP, "a"),
+            ),
+        )
+        assert solve_abstract_energy_parity(g) == {"a": 0, "up": 0, "down": 0}
+
+    def test_zero_effect_cycle_through_the_state(self):
+        # a b a nets 0; the draining detour a c a has the odd top color 3
+        g = IntegerGame(
+            ("x",),
+            (State("a", 0, 2), State("b", 0, 1), State("c", 0, 3)),
+            (
+                Transition("t1", "a", inc("x"), "b"),
+                Transition("t2", "b", dec("x"), "a"),
+                Transition("t3", "a", dec("x"), "c"),
+                Transition("t4", "c", NOP_OP, "a"),
+            ),
+        )
+        assert solve_abstract_energy_parity(g) == {"a": 0, "b": 0, "c": 0}
+
     def test_agrees_with_bracket(self):
         rng = random.Random(20240818)
         checked = 0
@@ -172,6 +216,26 @@ class TestAbstract:
                         assert bracket_decide(g, ENERGY, gamma, max_cap=32) != WIN0
                         checked += 1
         assert checked > 40
+
+
+def test_one_player_check_agrees_with_reference():
+    # the Tarjan, Bellman-Ford and support-pruning code the SCC-grouped
+    # check replaced, on random graphs with self-loops and effects in
+    # {-1,0,1}^k
+    rng = random.Random(9)
+    shapes = set()
+    for _ in range(2000):
+        n, dims = rng.randint(1, 8), rng.randint(1, 3)
+        colors = [rng.randint(0, 5) for _ in range(n)]
+        edges = [
+            (u, rng.randrange(n), tuple(rng.randint(-1, 1) for _ in range(dims)))
+            for u in range(n)
+            for _ in range(rng.randint(1, 3))
+        ]
+        win = _one_player_win_set(n, colors, edges, dims)
+        assert win == reference_one_player_win_set(n, colors, edges, dims), (n, colors, edges, dims)
+        shapes.add((dims, 0 < len(win) < n))
+    assert shapes == {(k, split) for k in (1, 2, 3) for split in (False, True)}
 
 
 def all_strategies_lose_for_player1(k):
