@@ -9,11 +9,19 @@ grid and bracket the unbounded verdict between two cap treatments.
   overflow is resolved in Player 0's favor.  This only strengthens Player 0,
   so a Player-1 win at any cap is sound.  An energy underflow ends in an odd
   sink in both modes.
+
+solve_capped builds only the part of the grid reachable from the given root
+configurations.  Vertex 0 is the overflow sink and 1 the underflow sink, the
+roots follow in the given order, then every other configuration in the order
+a forward search over game.moves discovers it, and the stuck sinks come
+last.  The explored set is closed under moves, so every play from a root
+stays inside it: the game it induces is a subgame of the whole capped grid
+that neither player can leave, and each explored configuration has the same
+winner in both.
 """
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .core import IntegerGame, PartialConfig, is_single_sided
 from .parity import FiniteParityGame, solve_parity
@@ -32,19 +40,25 @@ def solve_capped(
     semantics: str,
     cap: int,
     mode: str,
+    roots: Tuple[Tuple[str, Tuple[int, ...]], ...],
 ) -> Dict[Tuple[str, Tuple[int, ...]], int]:
-    """Winner (0 or 1) of every configuration with all values in [0, cap].
+    """Winner (0 or 1) of every configuration with all values in [0, cap]
+    that some play from roots can reach.
 
-    Configurations are keyed by (state, value vector in game.counters order).
-    A side with no enabled move loses.
+    Configurations, roots included, are keyed by (state name, value vector
+    in game.counters order).  A side with no enabled move loses.
 
-    The grid is solved as a FiniteParityGame numbered from game.moves:
-    vertex 0 is the overflow sink and 1 the underflow sink, state s at
-    vector vec is 2 + s*|grid| + rank(vec), where rank reads vec as a mixed
-    radix number in base cap+1 with the last counter fastest, and the sinks
-    of stuck configurations come last.  A move that changes counter c by
-    delta therefore leads delta*stride[c] away from its target's vertex at
-    the same vector, with stride[c] = (cap+1)**(k-1-c) for k counters.
+    The grid is explored forward from the roots over game.moves and solved
+    as a FiniteParityGame: vertex 0 is the overflow sink and 1 the
+    underflow sink, then come the roots in the given order, then the other
+    configurations in the order they are discovered, and the sinks of stuck
+    configurations last.  The explored set is closed under moves, so every
+    play from a root stays inside it and the winners are those of the whole
+    grid.  Given every configuration as a root, states in declaration order
+    and vectors in rank order, state index s at vector vec is vertex
+    2 + s*(cap+1)**k + rank(vec), where rank reads vec as a base-(cap+1)
+    number with the last counter fastest; that is also how configurations
+    are keyed while the grid is explored.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -56,45 +70,69 @@ def solve_capped(
         raise ValueError("saturate mode under VASS semantics needs a single-sided game")
 
     k = len(game.counters)
-    grid = list(itertools.product(range(cap + 1), repeat=k))  # in rank order
-    size = len(grid)
+    size = (cap + 1) ** k
     stride = [(cap + 1) ** (k - 1 - c) for c in range(k)]
+    index = {s.name: i for i, s in enumerate(game.states)}
+    # explored configurations as (state index, rank(vec), vec), numbered
+    # from 2 and keyed by s*size + rank(vec)
+    configs: List[Tuple[int, int, Tuple[int, ...]]] = []
+    number: Dict[int, int] = {}
+    for name, vec in roots:
+        if name not in index or len(vec) != k or not all(0 <= v <= cap for v in vec):
+            raise ValueError("root %r is not a configuration of the cap-%d grid" % ((name, vec), cap))
+        rank = sum(v * st for v, st in zip(vec, stride))
+        pos = index[name] * size + rank
+        if pos not in number:
+            number[pos] = len(configs) + 2
+            configs.append((index[name], rank, tuple(vec)))
     # overflow wins for Player 0, underflow loses
-    vertices = [(0, 0), (0, 1)] + [(s.owner, s.color) for s in game.states for _ in grid]
-    succ = [(0,), (1,)]
-    stuck_sink: Dict[int, int] = {}  # owner -> sink vertex, for configs with no enabled move
-    for s, moves in zip(game.states, game.moves):
-        for r, vec in enumerate(grid):
-            out = []
-            for dst, c, delta in moves:
-                w = 2 + dst * size + r
-                if c >= 0:
-                    nv = vec[c] + delta
-                    if nv < 0:
-                        if semantics == VASS:
-                            continue  # disabled
-                        w = 1
-                    elif nv > cap:
-                        if mode == OVERFLOW_WINS_P0:
-                            w = 0  # else saturate: the value stays at cap
-                    else:
-                        w += delta * stride[c]
-                out.append(w)
-            if not out:
-                # stuck: the owner loses
-                if s.owner not in stuck_sink:
-                    stuck_sink[s.owner] = len(vertices)
-                    vertices.append((0, 1 if s.owner == 0 else 0))
-                out.append(stuck_sink[s.owner])
-            succ.append(tuple(out))
-    succ.extend((v,) for v in stuck_sink.values())
+    vertices = [(0, 0), (0, 1)]
+    succ: List[Tuple[int, ...]] = [(0,), (1,)]
+    stuck_sink: Dict[int, int] = {}  # owner -> position among the stuck sinks
+    stuck: List[int] = []  # configurations with no enabled move
+    moves = game.moves
+    labels = [(st.owner, st.color) for st in game.states]
+    for s, rank, vec in configs:  # grows while it is read
+        out = []
+        for dst, c, delta in moves[s]:
+            nrank = rank
+            nvec = vec
+            if c >= 0:
+                nv = vec[c] + delta
+                if nv < 0:
+                    if semantics == VASS:
+                        continue  # disabled
+                    out.append(1)
+                    continue
+                if nv > cap:
+                    if mode == OVERFLOW_WINS_P0:
+                        out.append(0)
+                        continue
+                    # saturate: the value stays at cap
+                else:
+                    nrank += delta * stride[c]
+                    nvec = vec[:c] + (nv,) + vec[c + 1:]
+            pos = dst * size + nrank
+            w = number.get(pos)
+            if w is None:
+                w = number[pos] = len(configs) + 2
+                configs.append((dst, nrank, nvec))
+            out.append(w)
+        vertices.append(labels[s])
+        if not out:
+            # stuck: the owner loses; the sink is numbered once all are known
+            stuck_sink.setdefault(labels[s][0], len(stuck_sink))
+            stuck.append(len(succ))
+        succ.append(tuple(out))
+    for v in stuck:
+        succ[v] = (len(succ) + stuck_sink[vertices[v][0]],)
+    for owner in stuck_sink:
+        vertices.append((0, 1 if owner == 0 else 0))
+        succ.append((len(succ),))
 
     w0, _, _, _ = solve_parity(FiniteParityGame(tuple(vertices), tuple(succ)))
-    return {
-        (s.name, vec): 0 if 2 + i * size + r in w0 else 1
-        for i, s in enumerate(game.states)
-        for r, vec in enumerate(grid)
-    }
+    names = game.state_names()
+    return {(names[s], vec): 0 if v in w0 else 1 for v, (s, _, vec) in enumerate(configs, 2)}
 
 
 def bracket_decide(
@@ -111,16 +149,18 @@ def bracket_decide(
     if gamma.dom != frozenset(game.counters):
         raise ValueError("bracket_decide needs a concrete configuration")
     vec = tuple(gamma.valuation[c] for c in game.counters)
-    if vec and max(vec) >= max_cap:
+    if vec and max(vec) > max_cap:
         return UNKNOWN
+    root = (gamma.state, vec)
+    roots = (root,)
     cap = max([1] + [v for v in vec]) + 1 if vec else 1
     saturate_ok = not (semantics == VASS and not is_single_sided(game))
     while True:
         cap = min(cap, max_cap)
         if saturate_ok:
-            if solve_capped(game, semantics, cap, SATURATE)[(gamma.state, vec)] == 0:
+            if solve_capped(game, semantics, cap, SATURATE, roots)[root] == 0:
                 return WIN0
-        if solve_capped(game, semantics, cap, OVERFLOW_WINS_P0)[(gamma.state, vec)] == 1:
+        if solve_capped(game, semantics, cap, OVERFLOW_WINS_P0, roots)[root] == 1:
             return WIN1
         if cap >= max_cap:
             return UNKNOWN

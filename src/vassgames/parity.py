@@ -8,12 +8,21 @@ and strategies are given in the same numbers.
 
 Player 0 wins a play iff the highest color seen infinitely often is even.
 Every vertex must have at least one outgoing edge.
+
+solve_parity marks subgames in place instead of copying vertex sets: the
+bytearray alive holds 1 for each vertex of the subgame being solved.  A
+recursive call on the subgame minus an attractor clears the attractor's
+vertices in alive and sets them again when it returns, so each call holds
+only the list of its own vertices.  Each attractor marks its members with a
+stamp of its own and counts an opponent vertex's alive successors the first
+time it reaches that vertex (Friedmann & Lange, "Solving parity games in
+practice", ATVA 2009).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -43,43 +52,6 @@ class Strategy:
         return dict(self.choice)
 
 
-def _attractor(
-    succ: Sequence[Sequence[int]],
-    pred: Sequence[Sequence[int]],
-    owner: Sequence[int],
-    sub: Set[int],
-    target: Set[int],
-    player: int,
-    strat: Dict[int, int],
-) -> Set[int]:
-    """Player's attractor to target within sub; records attractor moves for
-    player's vertices newly pulled in (smallest successor index wins)."""
-    attr = set(target)
-    # count of sub-successors outside attr, for opponent vertices
-    cnt = {}
-    queue = list(target)
-    for v in sub:
-        if owner[v] != player and v not in attr:
-            cnt[v] = sum(1 for w in succ[v] if w in sub)
-    while queue:
-        w = queue.pop()
-        for v in pred[w]:
-            if v not in sub or v in attr:
-                continue
-            if owner[v] == player:
-                if v not in strat:
-                    # chosen before v joins, so the move makes progress
-                    strat[v] = min(u for u in succ[v] if u in attr)
-                attr.add(v)
-                queue.append(v)
-            else:
-                cnt[v] -= 1
-                if cnt[v] == 0:
-                    attr.add(v)
-                    queue.append(v)
-    return attr
-
-
 def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int], Strategy, Strategy]:
     """Zielonka's algorithm.  Returns (W0, W1, s0, s1) where s_i is a
     positional strategy for player i winning on W_i."""
@@ -91,45 +63,79 @@ def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int]
     for v in range(n):
         for w in succ[v]:
             pred[w].append(v)
+    alive = bytearray(b"\x01") * n
+    stamp = [0] * n  # stamp[v] == mark: v is in the attractor being built
+    marks = itertools.count(1)
 
-    def solve(sub: Set[int]) -> Tuple[Set[int], Set[int], Dict[int, int], Dict[int, int]]:
+    def attractor(target: List[int], player: int, strat: Dict[int, int]) -> List[int]:
+        """Player's attractor to target within the alive vertices; records
+        attractor moves for player's vertices newly pulled in."""
+        mark = next(marks)
+        for v in target:
+            stamp[v] = mark
+        attr = list(target)
+        left: Dict[int, int] = {}  # opponent vertex -> alive successors outside attr
+        for w in attr:  # grows while it is read
+            for v in pred[w]:
+                if not alive[v] or stamp[v] == mark:
+                    continue
+                if owner[v] == player:
+                    if v not in strat:
+                        # w joined before v, so the move makes progress
+                        strat[v] = w
+                else:
+                    c = left.get(v)
+                    if c is None:
+                        c = sum([alive[u] for u in succ[v]])
+                    left[v] = c = c - 1
+                    if c:
+                        continue
+                stamp[v] = mark
+                attr.append(v)
+        return attr
+
+    def solve(sub: List[int]) -> Tuple[List[int], List[int], Dict[int, int], Dict[int, int]]:
         if not sub:
-            return set(), set(), {}, {}
-        d = max(color[v] for v in sub)
+            return [], [], {}, {}
+        d = max([color[v] for v in sub])
         i = d % 2
         if d == 0:
             # all colors 0: Player 0 wins everywhere, any choice staying in sub
-            s0 = {v: min(w for w in succ[v] if w in sub) for v in sub if owner[v] == 0}
-            return set(sub), set(), s0, {}
-        top = {v for v in sub if color[v] == d}
+            s0 = {v: min(w for w in succ[v] if alive[w]) for v in sub if owner[v] == 0}
+            return sub, [], s0, {}
+        top = [v for v in sub if color[v] == d]
         strat_i: Dict[int, int] = {}
-        a = _attractor(succ, pred, owner, sub, set(top), i, strat_i)
-        w0p, w1p, s0p, s1p = solve(sub - a)
+        a = attractor(top, i, strat_i)
+        for v in a:
+            alive[v] = 0
+        w0p, w1p, s0p, s1p = solve([v for v in sub if alive[v]])
+        for v in a:
+            alive[v] = 1
         opp = w1p if i == 0 else w0p
         if not opp:
             # player i wins all of sub
-            si = dict(s0p if i == 0 else s1p)
+            si = s0p if i == 0 else s1p
             si.update(strat_i)
             for v in top:
                 if owner[v] == i and v not in si:
-                    si[v] = min(w for w in succ[v] if w in sub)
+                    si[v] = min(w for w in succ[v] if alive[w])
             if i == 0:
-                return set(sub), set(), si, {}
-            return set(), set(sub), {}, si
-        strat_o: Dict[int, int] = dict(s1p if i == 0 else s0p)
-        b = _attractor(succ, pred, owner, sub, set(opp), 1 - i, strat_o)
-        w0q, w1q, s0q, s1q = solve(sub - b)
+                return sub, [], si, {}
+            return [], sub, {}, si
+        strat_o = s1p if i == 0 else s0p
+        b = attractor(opp, 1 - i, strat_o)
+        for v in b:
+            alive[v] = 0
+        w0q, w1q, s0q, s1q = solve([v for v in sub if alive[v]])
+        for v in b:
+            alive[v] = 1
         if i == 0:
-            w1 = w1q | b
-            s1 = dict(s1q)
-            s1.update(strat_o)
-            return w0q, w1, s0q, s1
-        w0 = w0q | b
-        s0 = dict(s0q)
-        s0.update(strat_o)
-        return w0, w1q, s0, s1q
+            s1q.update(strat_o)
+            return w0q, w1q + b, s0q, s1q
+        s0q.update(strat_o)
+        return w0q + b, w1q, s0q, s1q
 
-    w0, w1, s0, s1 = solve(set(range(n)))
+    w0, w1, s0, s1 = solve(list(range(n)))
     strat0 = Strategy(0, tuple(sorted(s0.items())))
     strat1 = Strategy(1, tuple(sorted(s1.items())))
     return frozenset(w0), frozenset(w1), strat0, strat1

@@ -39,7 +39,7 @@ from vassgames.core import (
 )
 from vassgames.bounded import OVERFLOW_WINS_P0, SATURATE
 from vassgames.energy import _circulation_feasible
-from vassgames.parity import FiniteParityGame, solve_parity
+from vassgames.parity import FiniteParityGame, Strategy, solve_parity
 from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import OutGame
 
@@ -550,6 +550,105 @@ def reference_feasible(
 
 
 # ---------------------------------------------------------------------------
+# reference Zielonka: the solver that copied vertex sets for each subgame and
+# recounted every opponent vertex's successors in each attractor.
+# parity.solve_parity marks subgames in place and must give the same winning
+# sets.
+
+
+def _attractor(
+    succ: Sequence[Sequence[int]],
+    pred: Sequence[Sequence[int]],
+    owner: Sequence[int],
+    sub: Set[int],
+    target: Set[int],
+    player: int,
+    strat: Dict[int, int],
+) -> Set[int]:
+    """Player's attractor to target within sub; records attractor moves for
+    player's vertices newly pulled in (smallest successor index wins)."""
+    attr = set(target)
+    # count of sub-successors outside attr, for opponent vertices
+    cnt = {}
+    queue = list(target)
+    for v in sub:
+        if owner[v] != player and v not in attr:
+            cnt[v] = sum(1 for w in succ[v] if w in sub)
+    while queue:
+        w = queue.pop()
+        for v in pred[w]:
+            if v not in sub or v in attr:
+                continue
+            if owner[v] == player:
+                if v not in strat:
+                    # chosen before v joins, so the move makes progress
+                    strat[v] = min(u for u in succ[v] if u in attr)
+                attr.add(v)
+                queue.append(v)
+            else:
+                cnt[v] -= 1
+                if cnt[v] == 0:
+                    attr.add(v)
+                    queue.append(v)
+    return attr
+
+
+def reference_solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int], Strategy, Strategy]:
+    """Zielonka's algorithm.  Returns (W0, W1, s0, s1) where s_i is a
+    positional strategy for player i winning on W_i."""
+    n = len(game.vertices)
+    owner = [o for o, _ in game.vertices]
+    color = [c for _, c in game.vertices]
+    succ = game.succ
+    pred: List[List[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in succ[v]:
+            pred[w].append(v)
+
+    def solve(sub: Set[int]) -> Tuple[Set[int], Set[int], Dict[int, int], Dict[int, int]]:
+        if not sub:
+            return set(), set(), {}, {}
+        d = max(color[v] for v in sub)
+        i = d % 2
+        if d == 0:
+            # all colors 0: Player 0 wins everywhere, any choice staying in sub
+            s0 = {v: min(w for w in succ[v] if w in sub) for v in sub if owner[v] == 0}
+            return set(sub), set(), s0, {}
+        top = {v for v in sub if color[v] == d}
+        strat_i: Dict[int, int] = {}
+        a = _attractor(succ, pred, owner, sub, set(top), i, strat_i)
+        w0p, w1p, s0p, s1p = solve(sub - a)
+        opp = w1p if i == 0 else w0p
+        if not opp:
+            # player i wins all of sub
+            si = dict(s0p if i == 0 else s1p)
+            si.update(strat_i)
+            for v in top:
+                if owner[v] == i and v not in si:
+                    si[v] = min(w for w in succ[v] if w in sub)
+            if i == 0:
+                return set(sub), set(), si, {}
+            return set(), set(sub), {}, si
+        strat_o: Dict[int, int] = dict(s1p if i == 0 else s0p)
+        b = _attractor(succ, pred, owner, sub, set(opp), 1 - i, strat_o)
+        w0q, w1q, s0q, s1q = solve(sub - b)
+        if i == 0:
+            w1 = w1q | b
+            s1 = dict(s1q)
+            s1.update(strat_o)
+            return w0q, w1, s0q, s1
+        w0 = w0q | b
+        s0 = dict(s0q)
+        s0.update(strat_o)
+        return w0, w1q, s0, s1q
+
+    w0, w1, s0, s1 = solve(set(range(n)))
+    strat0 = Strategy(0, tuple(sorted(s0.items())))
+    strat1 = Strategy(1, tuple(sorted(s1.items())))
+    return frozenset(w0), frozenset(w1), strat0, strat1
+
+
+# ---------------------------------------------------------------------------
 # reference capped grid: the solver that keyed grid vertices by (state,
 # vector) tuples.  bounded.solve_capped numbers them arithmetically and must
 # give the same winner at every configuration.
@@ -567,6 +666,17 @@ def _number_tuple_ids(vertices, edges) -> Tuple[FiniteParityGame, List[object]]:
     for a, b in edges:
         succ[idx[a]].append(idx[b])
     return FiniteParityGame(tuple((o, c) for _, o, c in vertices), tuple(tuple(ss) for ss in succ)), ids
+
+
+def all_configurations(game: IntegerGame, cap: int) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Every configuration of the cap grid as bounded.solve_capped roots:
+    states in declaration order, then value vectors in rank order (the last
+    counter fastest), which makes solve_capped number the whole grid."""
+    return tuple(
+        (s.name, vec)
+        for s in game.states
+        for vec in itertools.product(range(cap + 1), repeat=len(game.counters))
+    )
 
 
 def reference_solve_capped(

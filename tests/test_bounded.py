@@ -7,7 +7,7 @@ import random
 import pytest
 
 import helpers
-from helpers import random_counter_game, reference_solve_capped
+from helpers import all_configurations, random_counter_game, reference_solve_capped
 import vassgames
 from vassgames import bounded
 from vassgames.bounded import (
@@ -43,7 +43,7 @@ G2 = IntegerGame(
 
 def test_pump_game_verdicts():
     # frozen expectations: winning iff (q0, c >= 1) or (q1, any c); q2 never
-    res = solve_capped(G1, VASS, 4, SATURATE)
+    res = solve_capped(G1, VASS, 4, SATURATE, all_configurations(G1, 4))
     for v in range(5):
         assert res[("q0", (v,))] == (0 if v >= 1 else 1)
         assert res[("q1", (v,))] == 0
@@ -63,9 +63,9 @@ def test_drain_loop_loses_energy():
 
 def test_saturate_needs_single_sided_under_vass():
     with pytest.raises(ValueError):
-        solve_capped(G2, VASS, 3, SATURATE)
+        solve_capped(G2, VASS, 3, SATURATE, all_configurations(G2, 3))
     # but overflow mode is fine for arbitrary games
-    solve_capped(G2, VASS, 3, OVERFLOW_WINS_P0)
+    solve_capped(G2, VASS, 3, OVERFLOW_WINS_P0, all_configurations(G2, 3))
 
 
 def test_inflating_loser_stays_unknown():
@@ -85,8 +85,8 @@ def test_modes_bracket_each_other():
     for _ in range(20):
         g = random_counter_game(rng, rng.randint(2, 4), 1, single_sided=True)
         for cap in (2, 4):
-            sat = solve_capped(g, VASS, cap, SATURATE)
-            ovf = solve_capped(g, VASS, cap, OVERFLOW_WINS_P0)
+            sat = solve_capped(g, VASS, cap, SATURATE, all_configurations(g, cap))
+            ovf = solve_capped(g, VASS, cap, OVERFLOW_WINS_P0, all_configurations(g, cap))
             for key, w in sat.items():
                 if w == 0:
                     assert ovf[key] == 0
@@ -96,8 +96,8 @@ def test_region_upward_closed_and_cap_monotone():
     rng = random.Random(515)
     for _ in range(15):
         g = random_counter_game(rng, rng.randint(2, 4), 1, single_sided=True)
-        small = solve_capped(g, VASS, 3, SATURATE)
-        big = solve_capped(g, VASS, 6, SATURATE)
+        small = solve_capped(g, VASS, 3, SATURATE, all_configurations(g, 3))
+        big = solve_capped(g, VASS, 6, SATURATE, all_configurations(g, 6))
         for (q, (v,)), w in small.items():
             # upward closed in the value
             if w == 0:
@@ -125,9 +125,9 @@ def test_energy_vs_vass_on_single_sided():
 
 
 def test_agrees_with_reference_solve_capped(monkeypatch):
-    # the tuple-keyed grid the arithmetic numbering replaced: the same
-    # winners from the same parity game, vertex for vertex, so Zielonka does
-    # the same work
+    # the tuple-keyed grid: with every configuration as a root in rank
+    # order, the same winners from the same parity game, vertex for vertex,
+    # so Zielonka does the same work
     games = {bounded: [], helpers: []}
     for module, record in games.items():
 
@@ -139,7 +139,7 @@ def test_agrees_with_reference_solve_capped(monkeypatch):
     rng = random.Random(6006)
     compared = 0
     for i in range(300):
-        k = 1 + i % 2
+        k = 1 + i % 3
         g = random_counter_game(rng, rng.randint(2, 4), k, single_sided=rng.random() < 0.5)
         cap = rng.randint(0, 4)
         for semantics in (ENERGY, VASS):
@@ -147,11 +147,44 @@ def test_agrees_with_reference_solve_capped(monkeypatch):
                 if semantics == VASS and mode == SATURATE and not is_single_sided(g):
                     continue
                 ref = reference_solve_capped(g, semantics, cap, mode)
-                assert solve_capped(g, semantics, cap, mode) == ref
+                assert solve_capped(g, semantics, cap, mode, all_configurations(g, cap)) == ref
                 assert len(ref) == len(g.states) * (cap + 1) ** k
                 compared += 1
     assert compared > 1000
     assert games[bounded] == games[helpers]
+
+
+def test_rooted_grid_agrees_with_full_grid():
+    # a grid explored from one configuration is closed under moves, so each
+    # configuration it reaches has its winner in the whole grid
+    rng = random.Random(7117)
+    compared = 0
+    for i in range(90):
+        k = 1 + i % 3
+        g = random_counter_game(rng, rng.randint(2, 4), k, single_sided=rng.random() < 0.5)
+        cap = i // 3 % 5
+        configs = all_configurations(g, cap)
+        probes = configs if len(configs) <= 40 else rng.sample(configs, 40)
+        for semantics in (ENERGY, VASS):
+            for mode in (SATURATE, OVERFLOW_WINS_P0):
+                if semantics == VASS and mode == SATURATE and not is_single_sided(g):
+                    continue
+                full = reference_solve_capped(g, semantics, cap, mode)
+                for root in probes:
+                    res = solve_capped(g, semantics, cap, mode, (root,))
+                    assert root in res
+                    assert {key: full[key] for key in res} == res
+                    compared += 1
+    assert compared > 5000
+
+
+def test_roots_come_first_and_are_checked():
+    roots = (("q2", (3,)), ("q0", (0,)), ("q0", (0,)))
+    assert list(solve_capped(G1, VASS, 4, SATURATE, roots)) == [
+        ("q2", (3,)), ("q0", (0,)), ("q2", (0,))]
+    for bad in (("q9", (0,)), ("q0", (5,)), ("q0", (-1,)), ("q0", (0, 0))):
+        with pytest.raises(ValueError):
+            solve_capped(G1, VASS, 4, SATURATE, (bad,))
 
 
 def package_imports(module):

@@ -83,6 +83,16 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "oracle", str(p), "--config", "q0 c=0", "--cap", "8")
         assert code == 3 and out.strip() == "Unknown"
 
+    def test_oracle_probe_at_max_cap(self, capsys, tmp_path):
+        # the cap-3 grid holds c=3, so the probe is decided there, not skipped
+        p = tmp_path / "drain.game"
+        p.write_text("counters c\nstate q0 owner=0 color=2\ntrans t1: q0 dec(c) q0\n")
+        for cap in ("3", "4"):
+            code, out, _ = run_cli(capsys, "oracle", str(p), "--config", "q0 c=3", "--cap", cap)
+            assert code == 0 and out.strip() == "Win1"
+        code, out, _ = run_cli(capsys, "oracle", str(p), "--config", "q0 c=3", "--cap", "2")
+        assert code == 3 and out.strip() == "Unknown"
+
     def test_unread_flags_rejected(self, capsys):
         # each command registers only the flags it reads
         for argv in (

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import brute_force_parity, random_parity_game
+from helpers import brute_force_parity, random_parity_game, reference_solve_parity
 from vassgames.parity import FiniteParityGame, solve_parity, verify_strategy
 
 
@@ -80,3 +80,26 @@ def test_strategy_stays_in_region():
             owner, _ = g.vertices[v]
             if owner == 1:
                 assert c1[v] in w1
+
+
+def test_agrees_with_reference_zielonka():
+    # the set-copying solver the alive mask replaced: same winning sets;
+    # each strategy keeps its player in its region, and verifies on small games
+    rng = random.Random(31013)
+    verified = 0
+    for _ in range(1200):
+        n = rng.randint(1, 40)
+        g = random_parity_game(rng, n, max_color=6, max_out=rng.randint(1, 3))
+        w0, w1, s0, s1 = solve_parity(g)
+        r0, r1, _, _ = reference_solve_parity(g)
+        assert (w0, w1) == (r0, r1)
+        for player, region, strat in ((0, w0, s0), (1, w1, s1)):
+            choice = strat.as_dict()
+            for v in region:
+                if g.vertices[v][0] == player:
+                    assert choice[v] in region
+        if n <= 8:
+            assert verify_strategy(g, 0, s0, w0)
+            assert verify_strategy(g, 1, s1, w1)
+            verified += 1
+    assert verified > 100
