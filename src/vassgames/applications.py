@@ -60,35 +60,34 @@ def restrict_reachable(game: IntegerGame, roots: Iterable[str]) -> IntegerGame:
     return IntegerGame(game.counters, states, transitions)
 
 
-def _challenge(s: str, q: str) -> str:
-    return "%s|%s|1" % (s, q)
-
-
-def _reply(s: str, q: str) -> str:
-    return "%s|%s|0" % (s, q)
-
-
-def _reply_mid(s: str, q: str, a: str) -> str:
-    return "%s|%s^%s|0" % (s, q, a)
-
-
 def weaksim_game(
     fs: FiniteLTS,
     vass: IntegerGame,
     labels: Mapping[str, str],
-) -> IntegerGame:
+) -> Tuple[IntegerGame, Callable[[str, str], str]]:
     """The weak simulation game: Player 1 challenges with moves of the finite
     process, Player 0 answers with weak (tau* a tau*) moves of the VASS.
 
-    Challenge states carry color 2, so Player 0 wins iff it can answer every
-    challenge forever.  complete_with_sinks makes a stuck player lose: a
-    challenge state without process moves escapes to a sink winning for
-    Player 0, an answer state whose VASS moves may all be blocked to a sink
-    losing for Player 0.  The result is single-sided and passes the deadlock
-    check."""
-    lbl = {t.tid: labels.get(t.tid, TAU) for t in vass.transitions}
+    Each (process state s, VASS state q) pair gets a block of 2 + |actions|
+    product states, in process-major order: the challenge, the reply that
+    hands the turn back, and one half-answered reply per action (sorted).
+    A state is named by its position in that order, so names are distinct
+    whatever the input names are.  Challenge states carry color 2, so
+    Player 0 wins iff it can answer every challenge forever.
+    complete_with_sinks makes a stuck player lose: a challenge state without
+    process moves escapes to a sink winning for Player 0, an answer state
+    whose VASS moves may all be blocked to a sink losing for Player 0.  The
+    result is single-sided and passes the deadlock check.  Returns the game
+    and the map (s, q) -> challenge state."""
     actions = sorted({a for _, a, _ in fs.edges})
-    vstates = [s.name for s in vass.states]
+    apos = {a: i for i, a in enumerate(actions)}
+    spos = {s: i for i, s in enumerate(fs.states)}
+    qpos = {q: i for i, q in enumerate(vass.state_names())}
+    block = 2 + len(actions)
+
+    def at(s: str, q: str, k: int) -> str:
+        """State k of the (s, q) block: 0 challenge, 1 reply, 2 + i the reply to actions[i]."""
+        return str((spos[s] * len(qpos) + qpos[q]) * block + k)
 
     states: List[State] = []
     transitions: List[Transition] = []
@@ -96,41 +95,39 @@ def weaksim_game(
     def add_t(src: str, op, dst: str) -> None:
         transitions.append(Transition("w%d" % len(transitions), src, op, dst))
 
-    for s in fs.states:
-        for q in vstates:
-            states.append(State(_challenge(s, q), 1, 2))
-            states.append(State(_reply(s, q), 0, 1))
-            for a in actions:
-                states.append(State(_reply_mid(s, q, a), 0, 1))
-    transitions_by_label: Dict[str, List[Transition]] = {}
-    for t in vass.transitions:
-        transitions_by_label.setdefault(lbl[t.tid], []).append(t)
+    # per VASS state, its moves grouped by label, each group in out() order
+    moves: Dict[str, Dict[str, List[Transition]]] = {q: {} for q in qpos}
+    for q, by_label in moves.items():
+        for t in vass.out(q):
+            by_label.setdefault(labels.get(t.tid, TAU), []).append(t)
 
     for s in fs.states:
-        moves = fs.out(s)
-        for q in vstates:
-            # challenges
-            for a, s2 in moves:
-                add_t(_challenge(s, q), NOP_OP, _reply_mid(s2, q, a))
-            for a in actions:
-                mid = _reply_mid(s, q, a)
+        challenges = fs.out(s)
+        for q, by_label in moves.items():
+            taus = by_label.get(TAU, ())
+            challenge, reply = at(s, q, 0), at(s, q, 1)
+            states.append(State(challenge, 1, 2))
+            for a, s2 in challenges:
+                add_t(challenge, NOP_OP, at(s2, q, 2 + apos[a]))
+            # trailing taus, then the turn goes back
+            states.append(State(reply, 0, 1))
+            for t in taus:
+                add_t(reply, t.op, at(s, t.target, 1))
+            add_t(reply, NOP_OP, challenge)
+            for i, a in enumerate(actions):
+                mid = at(s, q, 2 + i)
+                states.append(State(mid, 0, 1))
                 # leading taus
-                for t in transitions_by_label.get(TAU, []):
-                    if t.source == q:
-                        add_t(mid, t.op, _reply_mid(s, t.target, a))
+                for t in taus:
+                    add_t(mid, t.op, at(s, t.target, 2 + i))
                 if a == TAU:
                     # a tau challenge may be answered by staying put
-                    add_t(mid, NOP_OP, _reply(s, q))
+                    add_t(mid, NOP_OP, reply)
                 else:
-                    for t in transitions_by_label.get(a, []):
-                        if t.source == q:
-                            add_t(mid, t.op, _reply(s, t.target))
-            # trailing taus and handing the turn back
-            for t in transitions_by_label.get(TAU, []):
-                if t.source == q:
-                    add_t(_reply(s, q), t.op, _reply(s, t.target))
-            add_t(_reply(s, q), NOP_OP, _challenge(s, q))
-    return complete_with_sinks(IntegerGame(vass.counters, tuple(states), tuple(transitions)))
+                    for t in by_label.get(a, ()):
+                        add_t(mid, t.op, at(s, t.target, 1))
+    game = complete_with_sinks(IntegerGame(vass.counters, tuple(states), tuple(transitions)))
+    return game, lambda s, q: at(s, q, 0)
 
 
 def check_weaksim(
@@ -149,8 +146,8 @@ def check_weaksim(
         raise ValueError("unknown VASS state %r" % q0)
     if set(theta) != set(vass.counters):
         raise ValueError("initial valuation must cover all counters")
-    game = weaksim_game(fs, vass, labels)
-    root = _challenge(s0, q0)
+    game, root_of = weaksim_game(fs, vass, labels)
+    root = root_of(s0, q0)
     game = restrict_reachable(game, [root])
     table = ParetoTable(game, budget)
     return table.membership(
@@ -233,6 +230,9 @@ def _tokenize(text: str) -> List[str]:
     return out
 
 
+_P1_MISUSE = "P1 may only appear as P1 /\\ [] f"
+
+
 def parse_formula(text: str) -> Formula:
     """Parse a positive mu-calculus formula.
 
@@ -273,24 +273,21 @@ def parse_formula(text: str) -> Formula:
         return f
 
     def conj(bound: FrozenSet[str]) -> Formula:
+        if peek() == "P1":
+            # the guarded box P1 /\ [] f takes no further conjuncts
+            eat()
+            if toks[pos[0]:pos[0] + 2] != ["/\\", "[]"]:
+                raise ValueError(_P1_MISUSE)
+            pos[0] += 2
+            f = GuardedBox(unary(bound))
+            if peek() == "/\\":
+                raise ValueError(_P1_MISUSE)
+            return f
         f = unary(bound)
-        parts = [f]
         while peek() == "/\\":
             eat()
-            parts.append(unary(bound))
-        if len(parts) == 1:
-            return parts[0]
-        # fold left, recognizing the guarded box P1 /\ [] f
-        out = parts[0]
-        i = 1
-        if isinstance(out, Atom) and out.name == "P1":
-            if len(parts) == 2 and isinstance(parts[1], Box):
-                return GuardedBox(parts[1].body)
-            raise ValueError("P1 may only appear as P1 /\\ [] f")
-        while i < len(parts):
-            out = And(out, parts[i])
-            i += 1
-        return out
+            f = And(f, unary(bound))
+        return f
 
     def unary(bound: FrozenSet[str]) -> Formula:
         tok = peek()
@@ -310,6 +307,8 @@ def parse_formula(text: str) -> Formula:
         name = eat()
         if name in (")", ".", "/\\", "\\/"):
             raise ValueError("unexpected token %r" % name)
+        if name == "P1":
+            raise ValueError(_P1_MISUSE)
         if name in bound:
             return Var(name)
         return Atom(name)
@@ -320,49 +319,41 @@ def parse_formula(text: str) -> Formula:
     return _rename_apart(f)
 
 
+def _kids(f: Formula) -> Tuple[Formula, ...]:
+    """The immediate subformulas of f, left to right; every formula walk
+    reads children through here."""
+    if isinstance(f, (And, Or)):
+        return (f.left, f.right)
+    if isinstance(f, (Diamond, Box, GuardedBox, Mu, Nu)):
+        return (f.body,)
+    if isinstance(f, (Atom, Var)):
+        return ()
+    raise TypeError("not a formula: %r" % (f,))
+
+
 def _rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Optional[Dict[str, str]] = None) -> Formula:
     """Make bound variable names unique so each variable has one binder."""
     used = used if used is not None else set()
     env = env or {}
-    if isinstance(f, Atom):
-        return f
     if isinstance(f, Var):
         return Var(env.get(f.name, f.name))
-    if isinstance(f, And):
-        return And(_rename_apart(f.left, used, env), _rename_apart(f.right, used, env))
-    if isinstance(f, Or):
-        return Or(_rename_apart(f.left, used, env), _rename_apart(f.right, used, env))
-    if isinstance(f, Diamond):
-        return Diamond(_rename_apart(f.body, used, env))
-    if isinstance(f, Box):
-        return Box(_rename_apart(f.body, used, env))
-    if isinstance(f, GuardedBox):
-        return GuardedBox(_rename_apart(f.body, used, env))
     if isinstance(f, (Mu, Nu)):
-        name = f.var
-        fresh = name
+        fresh = f.var
         i = 0
         while fresh in used:
             i += 1
-            fresh = "%s_%d" % (name, i)
+            fresh = "%s_%d" % (f.var, i)
         used.add(fresh)
-        env2 = dict(env)
-        env2[name] = fresh
-        body = _rename_apart(f.body, used, env2)
-        return Mu(fresh, body) if isinstance(f, Mu) else Nu(fresh, body)
-    raise TypeError("not a formula: %r" % (f,))
+        return type(f)(fresh, _rename_apart(f.body, used, {**env, f.var: fresh}))
+    kids = tuple(_rename_apart(g, used, env) for g in _kids(f))
+    return type(f)(*kids) if kids else f
 
 
 def free_vars(f: Formula) -> FrozenSet[str]:
     if isinstance(f, Var):
         return frozenset([f.name])
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Diamond, Box, GuardedBox)):
-        return free_vars(f.body)
-    if isinstance(f, (Mu, Nu)):
-        return free_vars(f.body) - {f.var}
-    return frozenset()
+    out = frozenset().union(*map(free_vars, _kids(f)))
+    return out - {f.var} if isinstance(f, (Mu, Nu)) else out
 
 
 def subformulas(f: Formula) -> List[Formula]:
@@ -371,17 +362,11 @@ def subformulas(f: Formula) -> List[Formula]:
     seen = set()
 
     def go(g: Formula) -> None:
-        if g in seen:
-            return
-        seen.add(g)
-        out.append(g)
-        if isinstance(g, (And, Or)):
-            go(g.left)
-            go(g.right)
-        elif isinstance(g, (Diamond, Box, GuardedBox)):
-            go(g.body)
-        elif isinstance(g, (Mu, Nu)):
-            go(g.body)
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+            for h in _kids(g):
+                go(h)
 
     go(f)
     return out
@@ -389,21 +374,16 @@ def subformulas(f: Formula) -> List[Formula]:
 
 def alternation_depth(f: Formula) -> int:
     """Niwinski-style alternation depth of dependent fixpoints."""
-    if isinstance(f, (Atom, Var)):
-        return 0
-    if isinstance(f, (And, Or)):
-        return max(alternation_depth(f.left), alternation_depth(f.right))
-    if isinstance(f, (Diamond, Box, GuardedBox)):
-        return alternation_depth(f.body)
-    if isinstance(f, (Mu, Nu)):
-        opposite = Nu if isinstance(f, Mu) else Mu
-        deps = [
-            alternation_depth(g)
-            for g in subformulas(f.body)
-            if isinstance(g, opposite) and f.var in free_vars(g)
-        ]
-        return max([1, alternation_depth(f.body)] + [1 + d for d in deps])
-    raise TypeError("not a formula: %r" % (f,))
+    d = max(map(alternation_depth, _kids(f)), default=0)
+    if not isinstance(f, (Mu, Nu)):
+        return d
+    opposite = Nu if isinstance(f, Mu) else Mu
+    deps = [
+        alternation_depth(g)
+        for g in subformulas(f.body)
+        if isinstance(g, opposite) and f.var in free_vars(g)
+    ]
+    return max([1, d] + [1 + e for e in deps])
 
 
 def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[[str], str]]:
@@ -411,7 +391,9 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
     a closed guarded formula.  Player 1 owns conjunctions and guarded boxes;
     fixpoint states are colored by alternation depth (odd for mu, even for
     nu), mismatched atoms and stuck guards are odd self-loops, everything
-    else is color 0.  Returns the game and the map q -> product root <q, phi>."""
+    else is color 0.  State <q, g> is named q#i for the position i of g in
+    subformulas(phi); the states come in VASS-state-major order.  Returns
+    the game and the map q -> product root <q, phi>."""
     if free_vars(phi):
         raise ValueError("formula must be closed: free %s" % sorted(free_vars(phi)))
     # the binder map below needs one binder per variable name
@@ -422,14 +404,16 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
     if bad:
         raise ValueError("VASS may deadlock at states: %s" % ", ".join(bad))
     subs = subformulas(phi)
-    for g in subs:
-        if isinstance(g, Box):
-            raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
-    sidx = {id_key: i for i, id_key in enumerate(subs)}
-    binder: Dict[str, Formula] = {}
-    for g in subs:
-        if isinstance(g, (Mu, Nu)):
-            binder[g.var] = g
+    if any(isinstance(g, Box) for g in subs):
+        raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
+    sidx = {g: i for i, g in enumerate(subs)}
+    binder = {g.var: g for g in subs if isinstance(g, (Mu, Nu))}
+    # a fixpoint's color is its alternation depth, raised to the next odd
+    # number for mu and the next even one for nu
+    color: Dict[Formula, int] = {}
+    for g in binder.values():
+        d = alternation_depth(g)
+        color[g] = d + (d + isinstance(g, Mu)) % 2
 
     def node(q: str, g: Formula) -> str:
         return "%s#%d" % (q, sidx[g])
@@ -441,51 +425,25 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
         transitions.append(Transition("m%d" % len(transitions), src, op, dst))
 
     for q in vass.state_names():
-        qowner = vass.state(q).owner
+        p1 = vass.state(q).owner == 1
         for g in subs:
             name = node(q, g)
             if isinstance(g, Atom):
                 states.append(State(name, 0, 0 if g.name == q else 1))
-            elif isinstance(g, Var):
-                states.append(State(name, 0, 0))
-            elif isinstance(g, And):
-                states.append(State(name, 1, 0))
-            elif isinstance(g, Or):
-                states.append(State(name, 0, 0))
-            elif isinstance(g, Diamond):
-                states.append(State(name, 0, 0))
-            elif isinstance(g, GuardedBox):
-                states.append(State(name, 1, 0 if qowner == 1 else 1))
-            elif isinstance(g, Mu):
-                d = alternation_depth(g)
-                states.append(State(name, 0, d if d % 2 == 1 else d + 1))
-            elif isinstance(g, Nu):
-                d = alternation_depth(g)
-                states.append(State(name, 0, d if d % 2 == 0 else d + 1))
-            else:
-                raise TypeError("not a formula: %r" % (g,))
-    for q in vass.state_names():
-        qowner = vass.state(q).owner
-        for g in subs:
-            name = node(q, g)
-            if isinstance(g, Atom):
                 add_t(name, NOP_OP, name)
-            elif isinstance(g, Var):
-                add_t(name, NOP_OP, node(q, binder[g.name]))
-            elif isinstance(g, (And, Or)):
-                add_t(name, NOP_OP, node(q, g.left))
-                add_t(name, NOP_OP, node(q, g.right))
-            elif isinstance(g, Diamond):
+            elif isinstance(g, GuardedBox) and not p1:
+                states.append(State(name, 1, 1))
+                add_t(name, NOP_OP, name)
+            elif isinstance(g, (Diamond, GuardedBox)):
+                states.append(State(name, 1 if isinstance(g, GuardedBox) else 0, 0))
                 for t in vass.out(q):
                     add_t(name, t.op, node(t.target, g.body))
-            elif isinstance(g, GuardedBox):
-                if qowner == 1:
-                    for t in vass.out(q):
-                        add_t(name, t.op, node(t.target, g.body))
-                else:
-                    add_t(name, NOP_OP, name)
-            elif isinstance(g, (Mu, Nu)):
-                add_t(name, NOP_OP, node(q, g.body))
+            else:
+                # And, Or and fixpoints step to their subformulas, a
+                # variable to its binder, all at the same VASS state
+                states.append(State(name, 1 if isinstance(g, And) else 0, color.get(g, 0)))
+                for h in (binder[g.name],) if isinstance(g, Var) else _kids(g):
+                    add_t(name, NOP_OP, node(q, h))
 
     game = IntegerGame(vass.counters, tuple(states), tuple(transitions))
     return game, lambda q: node(q, phi)

@@ -179,15 +179,20 @@ def format_element(game: IntegerGame, gamma: PartialConfig) -> str:
     return "(%s)" % ",".join("%s=%d" % (c, v) for c, v in items)
 
 
+def _sorted_elements(game: IntegerGame, ac: Antichain) -> List[PartialConfig]:
+    """Elements by value vector in counter order; an undefined counter reads -1."""
+    return sorted(ac, key=lambda g: tuple(-1 if g.get(c) is None else g.get(c) for c in game.counters))
+
+
 def format_frontier(game: IntegerGame, frontier: Mapping[str, Antichain]) -> List[str]:
     """One line per state with a nonempty frontier, in declaration order;
     elements sorted by their value vectors."""
     lines = []
     for s in game.states:
         ac = frontier.get(s.name)
-        if not ac or len(ac) == 0:
+        if not ac:
             continue
-        elems = sorted(ac, key=lambda g: tuple(g.get(c) if g.get(c) is not None else -1 for c in game.counters))
+        elems = _sorted_elements(game, ac)
         lines.append("%s: %s" % (s.name, " ".join(format_element(game, g) for g in elems)))
     return lines
 
@@ -198,8 +203,7 @@ def frontier_json(game: IntegerGame, frontier: Mapping[str, Antichain]) -> Dict[
         ac = frontier.get(s.name)
         if ac is None:
             continue
-        elems = sorted(ac, key=lambda g: tuple(g.get(c) if g.get(c) is not None else -1 for c in game.counters))
-        out[s.name] = [{c: g.get(c) for c in game.counters if g.get(c) is not None} for g in elems]
+        out[s.name] = [{c: g.get(c) for c in game.counters if g.get(c) is not None} for g in _sorted_elements(game, ac)]
     return out
 
 

@@ -9,13 +9,16 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from vassgames.applications import (
+    TAU,
     And,
     Atom,
+    Box,
     Diamond,
     FiniteLTS,
+    Formula,
     GuardedBox,
     Mu,
     Nu,
@@ -34,6 +37,8 @@ from vassgames.core import (
     PartialConfig,
     State,
     Transition,
+    check_deadlock_free,
+    complete_with_sinks,
     is_single_sided,
     leq,
 )
@@ -985,3 +990,255 @@ def _one_player_win_set(
                 win.add(u)
                 queue.append(u)
     return win
+
+
+# ---------------------------------------------------------------------------
+# reference reduction games and formula walks, as applications had them before
+# each builder became one pass and the walks shared one child function:
+# applications.mucalc_game must build equal games, and applications.weaksim_game
+# the same games up to state names.  These names may collide
+# (reference_weaksim_game raises on process state x|y next to VASS state z).
+
+
+def reference_challenge(s: str, q: str) -> str:
+    return "%s|%s|1" % (s, q)
+
+
+def reference_reply(s: str, q: str) -> str:
+    return "%s|%s|0" % (s, q)
+
+
+def reference_reply_mid(s: str, q: str, a: str) -> str:
+    return "%s|%s^%s|0" % (s, q, a)
+
+
+def reference_weaksim_game(
+    fs: FiniteLTS,
+    vass: IntegerGame,
+    labels: Mapping[str, str],
+) -> IntegerGame:
+    """The weak simulation game: Player 1 challenges with moves of the finite
+    process, Player 0 answers with weak (tau* a tau*) moves of the VASS.
+
+    Challenge states carry color 2, so Player 0 wins iff it can answer every
+    challenge forever.  complete_with_sinks makes a stuck player lose: a
+    challenge state without process moves escapes to a sink winning for
+    Player 0, an answer state whose VASS moves may all be blocked to a sink
+    losing for Player 0.  The result is single-sided and passes the deadlock
+    check."""
+    lbl = {t.tid: labels.get(t.tid, TAU) for t in vass.transitions}
+    actions = sorted({a for _, a, _ in fs.edges})
+    vstates = [s.name for s in vass.states]
+
+    states: List[State] = []
+    transitions: List[Transition] = []
+
+    def add_t(src: str, op, dst: str) -> None:
+        transitions.append(Transition("w%d" % len(transitions), src, op, dst))
+
+    for s in fs.states:
+        for q in vstates:
+            states.append(State(reference_challenge(s, q), 1, 2))
+            states.append(State(reference_reply(s, q), 0, 1))
+            for a in actions:
+                states.append(State(reference_reply_mid(s, q, a), 0, 1))
+    transitions_by_label: Dict[str, List[Transition]] = {}
+    for t in vass.transitions:
+        transitions_by_label.setdefault(lbl[t.tid], []).append(t)
+
+    for s in fs.states:
+        moves = fs.out(s)
+        for q in vstates:
+            # challenges
+            for a, s2 in moves:
+                add_t(reference_challenge(s, q), NOP_OP, reference_reply_mid(s2, q, a))
+            for a in actions:
+                mid = reference_reply_mid(s, q, a)
+                # leading taus
+                for t in transitions_by_label.get(TAU, []):
+                    if t.source == q:
+                        add_t(mid, t.op, reference_reply_mid(s, t.target, a))
+                if a == TAU:
+                    # a tau challenge may be answered by staying put
+                    add_t(mid, NOP_OP, reference_reply(s, q))
+                else:
+                    for t in transitions_by_label.get(a, []):
+                        if t.source == q:
+                            add_t(mid, t.op, reference_reply(s, t.target))
+            # trailing taus and handing the turn back
+            for t in transitions_by_label.get(TAU, []):
+                if t.source == q:
+                    add_t(reference_reply(s, q), t.op, reference_reply(s, t.target))
+            add_t(reference_reply(s, q), NOP_OP, reference_challenge(s, q))
+    return complete_with_sinks(IntegerGame(vass.counters, tuple(states), tuple(transitions)))
+
+
+def reference_rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Optional[Dict[str, str]] = None) -> Formula:
+    """Make bound variable names unique so each variable has one binder."""
+    used = used if used is not None else set()
+    env = env or {}
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Var):
+        return Var(env.get(f.name, f.name))
+    if isinstance(f, And):
+        return And(reference_rename_apart(f.left, used, env), reference_rename_apart(f.right, used, env))
+    if isinstance(f, Or):
+        return Or(reference_rename_apart(f.left, used, env), reference_rename_apart(f.right, used, env))
+    if isinstance(f, Diamond):
+        return Diamond(reference_rename_apart(f.body, used, env))
+    if isinstance(f, Box):
+        return Box(reference_rename_apart(f.body, used, env))
+    if isinstance(f, GuardedBox):
+        return GuardedBox(reference_rename_apart(f.body, used, env))
+    if isinstance(f, (Mu, Nu)):
+        name = f.var
+        fresh = name
+        i = 0
+        while fresh in used:
+            i += 1
+            fresh = "%s_%d" % (name, i)
+        used.add(fresh)
+        env2 = dict(env)
+        env2[name] = fresh
+        body = reference_rename_apart(f.body, used, env2)
+        return Mu(fresh, body) if isinstance(f, Mu) else Nu(fresh, body)
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def reference_free_vars(f: Formula) -> FrozenSet[str]:
+    if isinstance(f, Var):
+        return frozenset([f.name])
+    if isinstance(f, (And, Or)):
+        return reference_free_vars(f.left) | reference_free_vars(f.right)
+    if isinstance(f, (Diamond, Box, GuardedBox)):
+        return reference_free_vars(f.body)
+    if isinstance(f, (Mu, Nu)):
+        return reference_free_vars(f.body) - {f.var}
+    return frozenset()
+
+
+def reference_subformulas(f: Formula) -> List[Formula]:
+    """All subformulas, outermost first, without duplicates."""
+    out: List[Formula] = []
+    seen = set()
+
+    def go(g: Formula) -> None:
+        if g in seen:
+            return
+        seen.add(g)
+        out.append(g)
+        if isinstance(g, (And, Or)):
+            go(g.left)
+            go(g.right)
+        elif isinstance(g, (Diamond, Box, GuardedBox)):
+            go(g.body)
+        elif isinstance(g, (Mu, Nu)):
+            go(g.body)
+
+    go(f)
+    return out
+
+
+def reference_alternation_depth(f: Formula) -> int:
+    """Niwinski-style alternation depth of dependent fixpoints."""
+    if isinstance(f, (Atom, Var)):
+        return 0
+    if isinstance(f, (And, Or)):
+        return max(reference_alternation_depth(f.left), reference_alternation_depth(f.right))
+    if isinstance(f, (Diamond, Box, GuardedBox)):
+        return reference_alternation_depth(f.body)
+    if isinstance(f, (Mu, Nu)):
+        opposite = Nu if isinstance(f, Mu) else Mu
+        deps = [
+            reference_alternation_depth(g)
+            for g in reference_subformulas(f.body)
+            if isinstance(g, opposite) and f.var in reference_free_vars(g)
+        ]
+        return max([1, reference_alternation_depth(f.body)] + [1 + d for d in deps])
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def reference_mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[[str], str]]:
+    """Product of a single-sided VASS (owners give the Q0/Q1 partition) with
+    a closed guarded formula.  Player 1 owns conjunctions and guarded boxes;
+    fixpoint states are colored by alternation depth (odd for mu, even for
+    nu), mismatched atoms and stuck guards are odd self-loops, everything
+    else is color 0.  Returns the game and the map q -> product root <q, phi>."""
+    if reference_free_vars(phi):
+        raise ValueError("formula must be closed: free %s" % sorted(reference_free_vars(phi)))
+    # the binder map below needs one binder per variable name
+    phi = reference_rename_apart(phi)
+    if not is_single_sided(vass):
+        raise ValueError("mu-calculus product needs a single-sided VASS")
+    bad = check_deadlock_free(vass)
+    if bad:
+        raise ValueError("VASS may deadlock at states: %s" % ", ".join(bad))
+    subs = reference_subformulas(phi)
+    for g in subs:
+        if isinstance(g, Box):
+            raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
+    sidx = {id_key: i for i, id_key in enumerate(subs)}
+    binder: Dict[str, Formula] = {}
+    for g in subs:
+        if isinstance(g, (Mu, Nu)):
+            binder[g.var] = g
+
+    def node(q: str, g: Formula) -> str:
+        return "%s#%d" % (q, sidx[g])
+
+    states: List[State] = []
+    transitions: List[Transition] = []
+
+    def add_t(src: str, op, dst: str) -> None:
+        transitions.append(Transition("m%d" % len(transitions), src, op, dst))
+
+    for q in vass.state_names():
+        qowner = vass.state(q).owner
+        for g in subs:
+            name = node(q, g)
+            if isinstance(g, Atom):
+                states.append(State(name, 0, 0 if g.name == q else 1))
+            elif isinstance(g, Var):
+                states.append(State(name, 0, 0))
+            elif isinstance(g, And):
+                states.append(State(name, 1, 0))
+            elif isinstance(g, Or):
+                states.append(State(name, 0, 0))
+            elif isinstance(g, Diamond):
+                states.append(State(name, 0, 0))
+            elif isinstance(g, GuardedBox):
+                states.append(State(name, 1, 0 if qowner == 1 else 1))
+            elif isinstance(g, Mu):
+                d = reference_alternation_depth(g)
+                states.append(State(name, 0, d if d % 2 == 1 else d + 1))
+            elif isinstance(g, Nu):
+                d = reference_alternation_depth(g)
+                states.append(State(name, 0, d if d % 2 == 0 else d + 1))
+            else:
+                raise TypeError("not a formula: %r" % (g,))
+    for q in vass.state_names():
+        qowner = vass.state(q).owner
+        for g in subs:
+            name = node(q, g)
+            if isinstance(g, Atom):
+                add_t(name, NOP_OP, name)
+            elif isinstance(g, Var):
+                add_t(name, NOP_OP, node(q, binder[g.name]))
+            elif isinstance(g, (And, Or)):
+                add_t(name, NOP_OP, node(q, g.left))
+                add_t(name, NOP_OP, node(q, g.right))
+            elif isinstance(g, Diamond):
+                for t in vass.out(q):
+                    add_t(name, t.op, node(t.target, g.body))
+            elif isinstance(g, GuardedBox):
+                if qowner == 1:
+                    for t in vass.out(q):
+                        add_t(name, t.op, node(t.target, g.body))
+                else:
+                    add_t(name, NOP_OP, name)
+            elif isinstance(g, (Mu, Nu)):
+                add_t(name, NOP_OP, node(q, g.body))
+
+    game = IntegerGame(vass.counters, tuple(states), tuple(transitions))
+    return game, lambda q: node(q, phi)

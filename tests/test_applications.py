@@ -8,6 +8,13 @@ from helpers import (
     random_counter_game,
     random_guarded_formula,
     random_lts,
+    reference_alternation_depth,
+    reference_challenge,
+    reference_free_vars,
+    reference_mucalc_game,
+    reference_rename_apart,
+    reference_subformulas,
+    reference_weaksim_game,
     stays_below_cap,
     weaksim_oracle,
 )
@@ -22,13 +29,16 @@ from vassgames.applications import (
     Nu,
     Or,
     Var,
+    _rename_apart,
     alternation_depth,
     check_weaksim,
+    free_vars,
     global_model_check,
     model_check,
     mucalc_game,
     parse_formula,
     restrict_reachable,
+    subformulas,
     weaksim_game,
 )
 from vassgames.core import (
@@ -94,8 +104,9 @@ class TestWeakSim:
             (State("p", 0, 0),),
             (Transition("t1", "p", dec("c"), "p"), Transition("t2", "p", inc("c"), "p")),
         )
-        g = weaksim_game(fs, vass, {"t1": "a", "t2": "tau"})
+        g, root_of = weaksim_game(fs, vass, {"t1": "a", "t2": "tau"})
         assert is_single_sided(g)
+        assert g.state(root_of("s1", "p")).owner == 1
 
     def test_matches_bounded_fixpoint(self):
         rng = random.Random(987)
@@ -133,6 +144,9 @@ class TestParser:
             parse_formula("P1 /\\ a")
         with pytest.raises(ValueError):
             parse_formula("P1 /\\ [] a /\\ b")
+        for text in ("a /\\ P1", "P1 \\/ a", "P1"):
+            with pytest.raises(ValueError):
+                parse_formula(text)
 
     def test_rename_apart(self):
         f = parse_formula("(mu X . <> X) \\/ (nu X . <> X)")
@@ -207,6 +221,39 @@ class TestModelCheck:
                 assert model_check(vass, phi, gamma) == ((q, vec) in lo)
             checked += 1
         assert checked == 10
+
+
+def integer_form(game, root):
+    """A game up to state and transition names: counters, (owner, color) per
+    state in order, moves by state index, and the root's index."""
+    return (game.counters, [(s.owner, s.color) for s in game.states], game.moves,
+            game.state_names().index(root))
+
+
+def test_products_and_walks_match_reference():
+    """The one-pass builders make the games the two-pass ones made, and the
+    formula walks agree with their per-walk ladders."""
+    rng = random.Random(2024)
+    for _ in range(500):
+        fs = random_lts(rng, rng.randint(1, 3), rng.randint(0, 5), ["a", "b", "tau"])
+        vass = random_counter_game(rng, rng.randint(1, 4), rng.randint(0, 2), single_sided=rng.random() < 0.5)
+        labels = {t.tid: rng.choice(["a", "b", "c", "tau"]) for t in vass.transitions if rng.random() < 0.8}
+        s0, q0 = rng.choice(fs.states), rng.choice(vass.state_names())
+        game, root_of = weaksim_game(fs, vass, labels)
+        ref = reference_weaksim_game(fs, vass, labels)
+        assert integer_form(game, root_of(s0, q0)) == integer_form(ref, reference_challenge(s0, q0))
+    for _ in range(500):
+        vass = random_counter_game(rng, rng.randint(1, 4), rng.randint(0, 2), single_sided=True)
+        phi = random_guarded_formula(rng, vass, depth=rng.randint(0, 4))
+        for g in subformulas(phi):
+            assert free_vars(g) == reference_free_vars(g)
+            assert alternation_depth(g) == reference_alternation_depth(g)
+            assert _rename_apart(g) == reference_rename_apart(g)
+        assert subformulas(phi) == reference_subformulas(phi)
+        game, root_of = mucalc_game(vass, phi)
+        ref, ref_root_of = reference_mucalc_game(vass, phi)
+        assert game == ref
+        assert [root_of(q) for q in vass.state_names()] == [ref_root_of(q) for q in vass.state_names()]
 
 
 def test_restrict_reachable():

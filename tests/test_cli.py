@@ -277,6 +277,24 @@ class TestFrontEnds:
         code, out, _ = run_cli(capsys, "weaksim", "--fs", str(fs), "--vass", str(vass), "--init", "p c=0")
         assert code == 0 and out.strip() == "false"
 
+    @pytest.mark.parametrize("lts, game, init", [
+        # process state x|y meets VASS state z where x meets y|z
+        ("state x\nstate x|y\nedge x a x|y\nedge x|y a x\n",
+         "counters c\nstate y|z\nstate z\ntrans t1: y|z nop z label=a\ntrans t2: z nop y|z label=a\n",
+         "y|z c=0"),
+        # VASS state p^a next to p, answering action a
+        ("state x\nedge x a x\n",
+         "counters c\nstate p\nstate p^a\ntrans t1: p nop p^a label=a\ntrans t2: p^a nop p label=a\n",
+         "p c=0"),
+    ], ids=["pipe", "caret"])
+    def test_weaksim_state_names_do_not_collide(self, capsys, tmp_path, lts, game, init):
+        fs = tmp_path / "proc.lts"
+        fs.write_text(lts)
+        vass = tmp_path / "system.game"
+        vass.write_text(game)
+        code, out, _ = run_cli(capsys, "weaksim", "--fs", str(fs), "--vass", str(vass), "--init", init)
+        assert code == 0 and out.strip() == "true"
+
     def test_mc_and_global(self, capsys, tmp_path):
         f = tmp_path / "reach.mu"
         f.write_text("mu X . (q1 \\/ <> X)\n")
