@@ -11,13 +11,11 @@ from .core import (
     Budget,
     BudgetExceeded,
     CounterOp,
-    Ideal,
     IntegerGame,
     PartialConfig,
     State,
     Transition,
     check_deadlock_free,
-    complement_ideals,
     complete_with_sinks,
     dec,
     inc,

@@ -372,18 +372,38 @@ def subformulas(f: Formula) -> List[Formula]:
     return out
 
 
+def _alternation_depths(f: Formula) -> Dict[int, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]]:
+    """Per subformula node of f, by identity: its alternation depth, its
+    free variables and the deepest fixpoint of each (kind, free variable)
+    inside it.  One bottom-up walk visits each node once; a fixpoint reads
+    its dependents off its body's table."""
+    memo: Dict[int, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]] = {}
+
+    def walk(g: Formula) -> None:
+        if id(g) in memo:
+            return
+        d, free, deepest = 0, frozenset([g.name] if isinstance(g, Var) else []), {}
+        for h in _kids(g):
+            walk(h)
+            e, kid_free, table = memo[id(h)]
+            d, free = max(d, e), free | kid_free
+            for key, v in table.items():
+                deepest[key] = max(v, deepest.get(key, 0))
+        if isinstance(g, (Mu, Nu)):
+            d = max(d, 1 + deepest.get((Nu if isinstance(g, Mu) else Mu, g.var), 0))
+            free -= {g.var}
+            for x in free:
+                deepest[type(g), x] = max(d, deepest.get((type(g), x), 0))
+        memo[id(g)] = d, free, deepest
+
+    walk(f)
+    return memo
+
+
 def alternation_depth(f: Formula) -> int:
-    """Niwinski-style alternation depth of dependent fixpoints."""
-    d = max(map(alternation_depth, _kids(f)), default=0)
-    if not isinstance(f, (Mu, Nu)):
-        return d
-    opposite = Nu if isinstance(f, Mu) else Mu
-    deps = [
-        alternation_depth(g)
-        for g in subformulas(f.body)
-        if isinstance(g, opposite) and f.var in free_vars(g)
-    ]
-    return max([1, d] + [1 + e for e in deps])
+    """Niwinski-style alternation depth of dependent fixpoints: a fixpoint
+    lies one above every opposite fixpoint inside it with its variable free."""
+    return _alternation_depths(f)[id(f)][0]
 
 
 def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[[str], str]]:
@@ -410,9 +430,10 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
     binder = {g.var: g for g in subs if isinstance(g, (Mu, Nu))}
     # a fixpoint's color is its alternation depth, raised to the next odd
     # number for mu and the next even one for nu
+    depths = _alternation_depths(phi)
     color: Dict[Formula, int] = {}
     for g in binder.values():
-        d = alternation_depth(g)
+        d = depths[id(g)][0]
         color[g] = d + (d + isinstance(g, Mu)) % 2
 
     def node(q: str, g: Formula) -> str:

@@ -1,19 +1,17 @@
-"""Core types: integer games over counters, partial configurations, antichains and ideals.
+"""Core types: integer games over counters, partial configurations and antichains.
 
 An integer game is a finite game graph whose transitions carry unit counter
 updates (inc/dec/nop).  Configurations pair a state with a partial valuation
 of the counters; counters outside the domain are "undefined" and act as
 unconstrained.  Winning sets of Player 0 are upward closed in the counter
-values, so they are represented by antichains of minimal elements, and their
-complements by finite unions of ideals (downward closed boxes with some
-coordinates unbounded).
+values, so they are represented by antichains of minimal elements.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 INC = "inc"
 DEC = "dec"
@@ -321,77 +319,3 @@ class Antichain:
 
     def __repr__(self) -> str:
         return "Antichain({%s})" % ", ".join(sorted(str(e) for e in self.elements))
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A downward closed box at a state: bound None means the coordinate is
-    unbounded (omega); an integer bound b keeps values <= b."""
-
-    state: str
-    bounds: Tuple[Tuple[str, Optional[int]], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bounds", tuple(sorted(dict(self.bounds).items())))
-
-    @property
-    def finite_coords(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple((c, b) for c, b in self.bounds if b is not None)
-
-    def subsumed_by(self, other: "Ideal") -> bool:
-        if self.state != other.state:
-            return False
-        ob = dict(other.bounds)
-        if set(ob) != set(dict(self.bounds)):
-            return False
-        for c, b in self.bounds:
-            o = ob[c]
-            if o is None:
-                continue
-            if b is None or b > o:
-                return False
-        return True
-
-
-def complement_ideals(minima: Iterable[PartialConfig], counters: Sequence[str], state: str) -> List[Ideal]:
-    """Ideals covering the complement of the upward closure of ``minima`` at
-    ``state``, within valuations over ``counters``.
-
-    A valuation avoids the upward closure iff for every minimal element it is
-    strictly below in some coordinate; distributing the choice of coordinate
-    over the elements yields one candidate box per choice function.  Subsumed
-    boxes are dropped."""
-    mins = [m for m in minima if m.state == state]
-    for m in mins:
-        if m.dom != frozenset(counters):
-            raise ValueError("minimal element domain mismatch")
-    if not mins:
-        return [Ideal(state, tuple((c, None) for c in counters))]
-    if any(all(v == 0 for _, v in m.items) for m in mins):
-        return []
-
-    ideals: List[Ideal] = []
-
-    def go(i: int, bounds: Dict[str, Optional[int]]) -> None:
-        if i == len(mins):
-            cand = Ideal(state, tuple(bounds.items()))
-            for other in ideals:
-                if cand.subsumed_by(other):
-                    return
-            ideals[:] = [o for o in ideals if not o.subsumed_by(cand)] + [cand]
-            return
-        m = dict(mins[i].items)
-        for c in counters:
-            if m[c] == 0:
-                continue  # cannot be strictly below 0
-            nb = m[c] - 1
-            old = bounds[c]
-            if old is not None and old <= nb:
-                go(i + 1, bounds)  # existing bound already ensures strictness
-                continue
-            bounds[c] = nb
-            go(i + 1, bounds)
-            bounds[c] = old
-
-    go(0, {c: None for c in counters})
-    return ideals

@@ -10,13 +10,15 @@ The solver works by induction on the tracked counter subset C:
   counters are the untracked ones; leaves are recolored losing when the label
   drops out of the smaller frontiers (coverability test against their union
   beta) and winning when a label strictly dominates one of its ancestors.
-  The frontier itself is then recovered from the membership oracle with a
-  Valk-Jantzen style minimization over ideal decompositions of the unknown
-  region's complement.
+  The frontier itself is then recovered from the membership oracle,
+  Valk-Jantzen style, by a worklist of downward closed boxes that still may
+  hold frontier elements.  A box meets the upward closed winning set iff its
+  corner does, so one probe decides a box; a positive corner is lowered to a
+  minimal element in one pass over the counters, and the boxes containing
+  that element are cut just below it.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -31,7 +33,6 @@ from .core import (
     State,
     Transition,
     check_deadlock_free,
-    complement_ideals,
     is_single_sided,
     leq,
 )
@@ -272,23 +273,24 @@ class ParetoTable:
 
 def _extract_minimal(
     query: Callable[[PartialConfig], bool],
-    found: PartialConfig,
+    corner: PartialConfig,
     counters_order: Sequence[str],
 ) -> PartialConfig:
-    """Extend a positive partial query to a full domain and minimize it
-    coordinatewise (one pass in counter order yields a minimal element of an
-    upward closed set)."""
-    gamma = found
-    for c in counters_order:
-        if c in gamma.dom:
-            continue
+    """Lower a positive box corner to a minimal element of the set inside its
+    box, in one pass: fill each undefined counter by counting up from 0, then
+    binary-search each defined one down, both in counter order.  A filled
+    value x is least, since x - 1 failed while the later counters were still
+    undefined and every later step only fixes those or lowers others; a
+    searched value stays least for the same reason."""
+    defined, gamma = corner.dom, corner
+    for c in [c for c in counters_order if c not in defined]:
         x = 0
         while not query(gamma.with_value(c, x)):
             x += 1
             if x > EXTRACT_LIMIT:
                 raise BudgetExceeded("witness extraction exceeded %d on %s" % (EXTRACT_LIMIT, c))
         gamma = gamma.with_value(c, x)
-    for c in counters_order:
+    for c in [c for c in counters_order if c in defined]:
         lo, hi = 0, gamma.get(c)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -300,6 +302,14 @@ def _extract_minimal(
     return gamma
 
 
+Box = Dict[str, int]  # upper bounds of a downward closed box; other counters unbounded
+
+
+def _inside(a: Box, b: Box) -> bool:
+    """Is every point of box (or point) a in box b?"""
+    return all(c in a and a[c] <= v for c, v in b.items())
+
+
 def vj_minimize(
     query: Callable[[PartialConfig], bool],
     state: str,
@@ -307,13 +317,17 @@ def vj_minimize(
     budget: Optional[Budget] = None,
 ) -> Antichain:
     """Compute the minimal elements of the upward closed set described by the
-    membership oracle, Valk-Jantzen style.
-
-    The oracle must answer, for a partial configuration, whether some full
-    instantiation belongs to the set; omega coordinates of the complement
-    ideals are probed as undefined counters, finite coordinates by direct
-    enumeration up to the bound.  Every probe, witness extraction included,
-    first checks the deadline."""
+    membership oracle (does some full instantiation of a partial
+    configuration belong to it?), Valk-Jantzen style, from one worklist of
+    boxes that may still hold minima.  A box's corner is its largest point,
+    so the box meets the set iff the corner is in it: one probe decides each
+    box, once.  On "no" the box is dropped; on "yes" the corner is lowered to
+    a new minimum m, and every open box containing m gives way to its
+    undercuts, one per counter c with m[c] > 0, bounded by m[c] - 1.  Boxes
+    inside other open boxes are dropped.  The open boxes cover all that is
+    neither above a minimum nor in a dropped box, so the set is the upward
+    closure of the minima once none is left.  Every probe, witness
+    extraction included, first checks the deadline."""
     budget = budget or Budget()
 
     def probe(g: PartialConfig) -> bool:
@@ -321,25 +335,23 @@ def vj_minimize(
         return query(g)
 
     minima: List[PartialConfig] = []
-    while True:
-        ideals = complement_ideals(sorted(minima, key=lambda g: g.items), counters_order, state)
-        hit: Optional[PartialConfig] = None
-        for ideal in sorted(ideals, key=lambda i: str(i.bounds)):
-            finite = ideal.finite_coords
-            names = [c for c, _ in finite]
-            for vec in itertools.product(*[range(b + 1) for _, b in finite]):
-                g = PartialConfig(state, tuple(zip(names, vec)))
-                if probe(g):
-                    hit = g
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            return Antichain(minima)
-        new = _extract_minimal(probe, hit, counters_order)
+    boxes: List[Box] = [{}]
+    while boxes:
+        box = boxes.pop()
+        corner = PartialConfig(state, tuple(box.items()))
+        if not probe(corner):
+            continue
+        new = _extract_minimal(probe, corner, counters_order)
         if any(leq(m, new) or leq(new, m) for m in minima):
             raise RuntimeError("oracle is not upward closed: %s overlaps known minima" % new)
         minima.append(new)
+        m = new.valuation
+        split = [b for b in boxes if _inside(m, b)] + [box]
+        boxes = [b for b in boxes if not _inside(m, b)]
+        for cut in ({**b, c: m[c] - 1} for b in split for c in counters_order if m[c] > 0):
+            if not any(_inside(cut, b) for b in boxes):
+                boxes = [b for b in boxes if not _inside(b, cut)] + [cut]
+    return Antichain(minima)
 
 
 def pareto_single_sided_vass(

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -26,12 +27,12 @@ from vassgames.applications import (
     Var,
 )
 from vassgames.core import (
+    Antichain,
     Budget,
     BudgetExceeded,
     CounterOp,
     DEC,
     INC,
-    Ideal,
     IntegerGame,
     NOP_OP,
     PartialConfig,
@@ -46,11 +47,11 @@ from vassgames.bounded import OVERFLOW_WINS_P0, SATURATE
 from vassgames.energy import _circulation_feasible
 from vassgames.parity import FiniteParityGame, Strategy, solve_parity
 from vassgames.semantics import ENERGY, VASS, vass_step
-from vassgames.solver import OutGame
+from vassgames.solver import EXTRACT_LIMIT, OutGame
 
 
 # ---------------------------------------------------------------------------
-# naive order, projection and box membership
+# naive order and projection
 
 
 def lt(a: PartialConfig, b: PartialConfig) -> bool:
@@ -60,13 +61,6 @@ def lt(a: PartialConfig, b: PartialConfig) -> bool:
 def drop(gamma: PartialConfig, counter: str) -> PartialConfig:
     """gamma with counter removed from its domain."""
     return PartialConfig(gamma.state, tuple((c, v) for c, v in gamma.items if c != counter))
-
-
-def ideal_contains(ideal: Ideal, gamma: PartialConfig) -> bool:
-    """Same state, same domain, and every value within its bound."""
-    bounds = dict(ideal.bounds)
-    return (gamma.state == ideal.state and set(bounds) == gamma.dom
-            and all(bounds[c] is None or v <= bounds[c] for c, v in gamma.items))
 
 
 def highest_color(game: IntegerGame) -> int:
@@ -105,6 +99,46 @@ def random_counter_game(
                 op = CounterOp(rng.choice([INC, DEC, DEC]), rng.choice(counters))
             transitions.append(Transition("t%d" % tnum, s.name, op, target))
             tnum += 1
+    return IntegerGame(counters, tuple(states), tuple(transitions))
+
+
+def random_credit_game(rng: random.Random, n_counters: int) -> IntegerGame:
+    """Single-sided game whose frontiers at "start" trade counters off: Player
+    0 picks one of a few routes to a winning loop, each a shuffled chain of
+    decrements that may begin at a Player-1 gate; route states may also take
+    one random extra move.  Every Player-0 state can give up to a losing
+    loop, which keeps the game deadlock-free."""
+    counters = tuple("c%d" % (i + 1) for i in range(n_counters))
+    states = [State("lose", 0, 1), State("win", 0, 2), State("start", 0, 1)]
+    transitions: List[Transition] = []
+
+    def add(src: str, op: CounterOp, dst: str) -> None:
+        transitions.append(Transition("t%d" % len(transitions), src, op, dst))
+
+    add("lose", NOP_OP, "lose")
+    add("win", NOP_OP, "win")
+    add("start", NOP_OP, "lose")
+    route_states = []
+    for r in range(rng.randint(1, 3)):
+        prev = "start"
+        if rng.random() < 0.3:
+            states.append(State("gate%d" % r, 1, rng.randint(0, 2)))
+            add(prev, NOP_OP, "gate%d" % r)
+            prev = "gate%d" % r
+        steps = [c for c in counters for _ in range(rng.randint(0, 3))]
+        rng.shuffle(steps)
+        for i, c in enumerate(steps):
+            name = "r%d_%d" % (r, i)
+            states.append(State(name, 0, rng.randint(0, 2)))
+            add(prev, NOP_OP if prev.startswith("gate") else CounterOp(DEC, c), name)
+            add(name, NOP_OP, "lose")
+            route_states.append(name)
+            prev = name
+        add(prev, NOP_OP, "win")
+    names = [s.name for s in states]
+    for name in route_states:
+        if rng.random() < 0.4:
+            add(name, CounterOp(rng.choice((INC, DEC)), rng.choice(counters)), rng.choice(names))
     return IntegerGame(counters, tuple(states), tuple(transitions))
 
 
@@ -1242,3 +1276,156 @@ def reference_mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame,
 
     game = IntegerGame(vass.counters, tuple(states), tuple(transitions))
     return game, lambda q: node(q, phi)
+
+
+# ---------------------------------------------------------------------------
+# reference Valk-Jantzen minimisation: after each new minimum it rebuilds the
+# ideals of the complement and enumerates every lattice point inside each
+# finite part.  solver.vj_minimize probes each box corner once and must give
+# the same antichain with no more probes.
+
+
+@dataclass(frozen=True)
+class Ideal:
+    """A downward closed box at a state: bound None means the coordinate is
+    unbounded (omega); an integer bound b keeps values <= b."""
+
+    state: str
+    bounds: Tuple[Tuple[str, Optional[int]], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bounds", tuple(sorted(dict(self.bounds).items())))
+
+    @property
+    def finite_coords(self) -> Tuple[Tuple[str, int], ...]:
+        return tuple((c, b) for c, b in self.bounds if b is not None)
+
+    def subsumed_by(self, other: "Ideal") -> bool:
+        if self.state != other.state:
+            return False
+        ob = dict(other.bounds)
+        if set(ob) != set(dict(self.bounds)):
+            return False
+        for c, b in self.bounds:
+            o = ob[c]
+            if o is None:
+                continue
+            if b is None or b > o:
+                return False
+        return True
+
+
+def reference_complement_ideals(minima: Iterable[PartialConfig], counters: Sequence[str], state: str) -> List[Ideal]:
+    """Ideals covering the complement of the upward closure of ``minima`` at
+    ``state``, within valuations over ``counters``.
+
+    A valuation avoids the upward closure iff for every minimal element it is
+    strictly below in some coordinate; distributing the choice of coordinate
+    over the elements yields one candidate box per choice function.  Subsumed
+    boxes are dropped."""
+    mins = [m for m in minima if m.state == state]
+    for m in mins:
+        if m.dom != frozenset(counters):
+            raise ValueError("minimal element domain mismatch")
+    if not mins:
+        return [Ideal(state, tuple((c, None) for c in counters))]
+    if any(all(v == 0 for _, v in m.items) for m in mins):
+        return []
+
+    ideals: List[Ideal] = []
+
+    def go(i: int, bounds: Dict[str, Optional[int]]) -> None:
+        if i == len(mins):
+            cand = Ideal(state, tuple(bounds.items()))
+            for other in ideals:
+                if cand.subsumed_by(other):
+                    return
+            ideals[:] = [o for o in ideals if not o.subsumed_by(cand)] + [cand]
+            return
+        m = dict(mins[i].items)
+        for c in counters:
+            if m[c] == 0:
+                continue  # cannot be strictly below 0
+            nb = m[c] - 1
+            old = bounds[c]
+            if old is not None and old <= nb:
+                go(i + 1, bounds)  # existing bound already ensures strictness
+                continue
+            bounds[c] = nb
+            go(i + 1, bounds)
+            bounds[c] = old
+
+    go(0, {c: None for c in counters})
+    return ideals
+
+
+def reference_extract_minimal(
+    query: Callable[[PartialConfig], bool],
+    found: PartialConfig,
+    counters_order: Sequence[str],
+) -> PartialConfig:
+    """Extend a positive partial query to a full domain and minimize it
+    coordinatewise (one pass in counter order yields a minimal element of an
+    upward closed set)."""
+    gamma = found
+    for c in counters_order:
+        if c in gamma.dom:
+            continue
+        x = 0
+        while not query(gamma.with_value(c, x)):
+            x += 1
+            if x > EXTRACT_LIMIT:
+                raise BudgetExceeded("witness extraction exceeded %d on %s" % (EXTRACT_LIMIT, c))
+        gamma = gamma.with_value(c, x)
+    for c in counters_order:
+        lo, hi = 0, gamma.get(c)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if query(gamma.with_value(c, mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        gamma = gamma.with_value(c, lo)
+    return gamma
+
+
+def reference_vj_minimize(
+    query: Callable[[PartialConfig], bool],
+    state: str,
+    counters_order: Sequence[str],
+    budget: Optional[Budget] = None,
+) -> Antichain:
+    """Compute the minimal elements of the upward closed set described by the
+    membership oracle, Valk-Jantzen style.
+
+    The oracle must answer, for a partial configuration, whether some full
+    instantiation belongs to the set; omega coordinates of the complement
+    ideals are probed as undefined counters, finite coordinates by direct
+    enumeration up to the bound.  Every probe, witness extraction included,
+    first checks the deadline."""
+    budget = budget or Budget()
+
+    def probe(g: PartialConfig) -> bool:
+        budget.check_time("Valk-Jantzen minimisation")
+        return query(g)
+
+    minima: List[PartialConfig] = []
+    while True:
+        ideals = reference_complement_ideals(sorted(minima, key=lambda g: g.items), counters_order, state)
+        hit: Optional[PartialConfig] = None
+        for ideal in sorted(ideals, key=lambda i: str(i.bounds)):
+            finite = ideal.finite_coords
+            names = [c for c, _ in finite]
+            for vec in itertools.product(*[range(b + 1) for _, b in finite]):
+                g = PartialConfig(state, tuple(zip(names, vec)))
+                if probe(g):
+                    hit = g
+                    break
+            if hit is not None:
+                break
+        if hit is None:
+            return Antichain(minima)
+        new = reference_extract_minimal(probe, hit, counters_order)
+        if any(leq(m, new) or leq(new, m) for m in minima):
+            raise RuntimeError("oracle is not upward closed: %s overlaps known minima" % new)
+        minima.append(new)

@@ -1,5 +1,6 @@
 """Weak simulation checking and mu-calculus model checking."""
 import random
+import time
 
 import pytest
 
@@ -167,6 +168,20 @@ class TestAlternation:
         # dependent ones do
         f = parse_formula("nu X . mu Y . (<> Y \\/ <> X)")
         assert alternation_depth(f) == 2
+
+    def test_twenty_level_chain_builds_quickly(self):
+        # nu X0 . mu X1 . ... (<> X0 \/ ... \/ <> X19 \/ q): every fixpoint
+        # depends on every inner one, so recomputing the inner depths at
+        # each level takes time exponential in the nesting
+        n = 20
+        binders = "".join("%s X%d . " % ("mu" if i % 2 else "nu", i) for i in range(n))
+        phi = parse_formula(binders + "(" + " \\/ ".join(["<> X%d" % i for i in range(n)] + ["q"]) + ")")
+        vass = IntegerGame(("c",), (State("q", 0, 0),), (Transition("t", "q", inc("c"), "q"),))
+        start = time.monotonic()
+        assert alternation_depth(phi) == n
+        game, root_of = mucalc_game(vass, phi)
+        assert time.monotonic() - start < 3.0
+        assert game.state(root_of("q")).color == n
 
 
 class TestModelCheck:

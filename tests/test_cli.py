@@ -154,6 +154,24 @@ class TestExitCodes:
         assert code == 0
         assert all(v == [] for v in json.loads(out)["frontier"].values())
 
+    @pytest.mark.parametrize("command", [["solve-abstract"], ["oracle", "--config", "v0"]])
+    def test_recursion_limit_is_unknown(self, capsys, tmp_path, command):
+        # a 1,200-vertex chain v -> v, v+1 with color v and owner v % 2:
+        # Zielonka recurses once per color
+        lines = ["state v%d owner=%d color=%d" % (v, v % 2, v) for v in range(1200)]
+        lines += ["trans a%d: v%d nop v%d" % (v, v, v) for v in range(1200)]
+        lines += ["trans b%d: v%d nop v%d" % (v, v, v + 1) for v in range(1199)]
+        p = tmp_path / "chain.game"
+        p.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, command[0], str(p), *command[1:])
+        assert code == 3 and err.startswith("unknown: recursion limit hit")
+
+    def test_deep_formula_is_unknown(self, capsys, tmp_path):
+        f = tmp_path / "deep.mu"
+        f.write_text("<> " * 3000 + "q1\n")
+        code, _, err = run_cli(capsys, "mc", G1, "--formula", str(f), "--init", "q0 c=1")
+        assert code == 3 and err.startswith("unknown: recursion limit hit")
+
 
 class TestCheck:
     def test_membership(self, capsys):

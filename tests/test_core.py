@@ -1,11 +1,10 @@
-"""Core types: orderings, antichains, ideal complements, validation."""
-import itertools
+"""Core types: orderings, antichains, validation."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import drop, highest_color, ideal_contains, lt
+from helpers import drop, highest_color, lt
 from vassgames.core import (
     Antichain,
     CounterOp,
@@ -15,7 +14,6 @@ from vassgames.core import (
     State,
     Transition,
     check_deadlock_free,
-    complement_ideals,
     complete_with_sinks,
     dec,
     inc,
@@ -112,29 +110,6 @@ class TestAntichain:
         # result is exactly the set of minimal elements
         for e in elems:
             assert ac1.covers(e)
-
-
-class TestComplementIdeals:
-    @given(st.lists(configs.filter(lambda g: g.dom == frozenset(COUNTERS)), max_size=4))
-    @settings(max_examples=150, deadline=None)
-    def test_exact_complement_on_grid(self, elems):
-        ac = Antichain()
-        for e in elems:
-            ac = ac.insert(e)
-        ideals = complement_ideals(sorted(ac, key=lambda g: g.items), COUNTERS, "q")
-        for v1 in range(7):
-            for v2 in range(7):
-                g = pc("q", c1=v1, c2=v2)
-                in_up = ac.covers(g)
-                in_ideals = any(ideal_contains(i, g) for i in ideals)
-                assert in_up != in_ideals
-
-    def test_empty_antichain_gives_full_ideal(self):
-        (ideal,) = complement_ideals([], COUNTERS, "q")
-        assert ideal_contains(ideal, pc("q", c1=100, c2=100))
-
-    def test_zero_minimum_gives_empty_complement(self):
-        assert complement_ideals([pc("q", c1=0, c2=0)], COUNTERS, "q") == []
 
 
 class TestGameValidation:

@@ -5,7 +5,13 @@ import time
 
 import pytest
 
-from helpers import random_counter_game, reference_build_out_game, reference_covered_by
+from helpers import (
+    random_counter_game,
+    random_credit_game,
+    reference_build_out_game,
+    reference_covered_by,
+    reference_vj_minimize,
+)
 from vassgames.bounded import WIN0, WIN1, bracket_decide
 from vassgames.core import (
     Antichain,
@@ -261,6 +267,57 @@ class TestVJ:
         with pytest.raises(BudgetExceeded, match="Valk-Jantzen"):
             vj_minimize(query, "q", ("c1",), budget)
         assert probes == [pc("q")]
+
+
+class TestVJAgainstReference:
+    """vj_minimize probes each box corner once; the minimisation it replaced
+    (helpers.reference_vj_minimize) enumerated every point of each
+    complement ideal.  Both must find the same minima."""
+
+    def test_synthetic_oracles_with_no_more_probes(self):
+        rng = random.Random(1985)
+        probes = {"boxes": 0, "reference": 0}
+        for i in range(1200):
+            counters = tuple("c%d" % (j + 1) for j in range(rng.randint(1, 3)))
+            if i % 10 == 0:
+                gens = []
+            elif i % 10 == 1:
+                gens = [{c: 0 for c in counters}] + [{c: rng.randint(0, 6) for c in counters}]
+            else:
+                gens = [{c: rng.randint(0, 6) for c in counters} for _ in range(rng.randint(1, 5))]
+            expected = Antichain()
+            for g in gens:
+                expected = expected.insert(PartialConfig.make("q", g))
+
+            def counted(side):
+                def query(gamma):
+                    probes[side] += 1
+                    return any(all(g[c] <= v for c, v in gamma.items) for g in gens)
+                return query
+
+            assert vj_minimize(counted("boxes"), "q", counters) == expected, gens
+            assert reference_vj_minimize(counted("reference"), "q", counters) == expected, gens
+        assert probes["boxes"] <= probes["reference"], probes
+
+    def test_random_single_sided_games(self, monkeypatch):
+        # random_counter_game rarely needs credit, random_credit_game mostly
+        # does; every frontier of every counter subset is compared
+        multi = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            if seed % 2:
+                g = random_credit_game(rng, rng.choice([1, 2]))
+            else:
+                g = random_counter_game(rng, rng.randint(2, 4), rng.choice([1, 2]), single_sided=True)
+            table = ParetoTable(g)
+            table.frontier(frozenset(g.counters))
+            with monkeypatch.context() as m:
+                m.setattr(solver, "vj_minimize", reference_vj_minimize)
+                reference = ParetoTable(g)
+                reference.frontier(frozenset(g.counters))
+            assert table._frontiers == reference._frontiers, seed
+            multi += any(len(ac) > 1 for ac in table.frontier(frozenset(g.counters)).values())
+        assert multi > 50
 
 
 class TestPareto:
