@@ -23,7 +23,7 @@ from .core import (
     leq,
 )
 from .semantics import ENERGY, VASS, vass_step
-from .parity import FiniteParityGame, Strategy, solve_parity, verify_strategy
+from .parity import FiniteParityGame, solve_parity
 from .bounded import OVERFLOW_WINS_P0, SATURATE, UNKNOWN, WIN0, WIN1, bracket_decide, solve_capped
 from .energy import energy_to_single_sided, pareto_energy, solve_abstract_energy_parity
 from .solver import (

@@ -52,6 +52,19 @@ def _parse_op(spec: str) -> Tuple[CounterOp, int]:
     return CounterOp(kind, counter), n
 
 
+def _attributes(words: List[str]) -> Dict[str, str]:
+    """The key=value words of a directive; each key at most once."""
+    attrs: Dict[str, str] = {}
+    for word in words:
+        key, eq, value = word.partition("=")
+        if not eq:
+            raise ValueError("attribute %r has no value" % key)
+        if key in attrs:
+            raise ValueError("attribute %r given twice" % key)
+        attrs[key] = value
+    return attrs
+
+
 def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
     """Parse a game file; returns the game and the transition labels."""
     counters: Tuple[str, ...] = ()
@@ -73,7 +86,7 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
                 saw_counters = True
             elif kind == "state":
                 name = parts[1]
-                attrs = dict(p.split("=", 1) for p in parts[2:])
+                attrs = _attributes(parts[2:])
                 owner = int(attrs.pop("owner", "0"))
                 color = int(attrs.pop("color", "0"))
                 if attrs:
@@ -84,13 +97,10 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
                     raise ValueError("expected 'trans <id>:'")
                 tid = parts[1][:-1]
                 source, opspec, target = parts[2], parts[3], parts[4]
-                label = None
-                for extra in parts[5:]:
-                    k, _, v = extra.partition("=")
-                    if k == "label":
-                        label = v
-                    else:
-                        raise ValueError("unknown transition attribute %r" % k)
+                attrs = _attributes(parts[5:])
+                label = attrs.pop("label", None)
+                if attrs:
+                    raise ValueError("unknown transition attributes %s" % sorted(attrs))
                 op, rep = _parse_op(opspec)
                 raw_trans.append((tid, source, op, rep, target, label))
             else:

@@ -44,8 +44,8 @@ from vassgames.core import (
     leq,
 )
 from vassgames.bounded import OVERFLOW_WINS_P0, SATURATE
-from vassgames.energy import _circulation_feasible
-from vassgames.parity import FiniteParityGame, Strategy, solve_parity
+from vassgames.energy import _circulation_feasible, _inner_edges
+from vassgames.parity import FiniteParityGame, solve_parity
 from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import EXTRACT_LIMIT, OutGame
 
@@ -632,9 +632,11 @@ def _attractor(
     return attr
 
 
-def reference_solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int], Strategy, Strategy]:
-    """Zielonka's algorithm.  Returns (W0, W1, s0, s1) where s_i is a
-    positional strategy for player i winning on W_i."""
+def reference_solve_parity(
+    game: FiniteParityGame,
+) -> Tuple[FrozenSet[int], FrozenSet[int], Dict[int, int], Dict[int, int]]:
+    """Zielonka's algorithm.  Returns (W0, W1, s0, s1) where s_i maps each
+    vertex of player i in W_i to its positional strategy's successor."""
     n = len(game.vertices)
     owner = [o for o, _ in game.vertices]
     color = [c for _, c in game.vertices]
@@ -682,9 +684,118 @@ def reference_solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], Froz
         return w0, w1q, s0, s1q
 
     w0, w1, s0, s1 = solve(set(range(n)))
-    strat0 = Strategy(0, tuple(sorted(s0.items())))
-    strat1 = Strategy(1, tuple(sorted(s1.items())))
-    return frozenset(w0), frozenset(w1), strat0, strat1
+    return frozenset(w0), frozenset(w1), s0, s1
+
+
+# ---------------------------------------------------------------------------
+# strategy checks: the exhaustive verifier, which enumerates the opponent's
+# positional strategies, is the reference for the polynomial check_strategy.
+
+
+def reference_verify_strategy(
+    game: FiniteParityGame,
+    player: int,
+    choice: Dict[int, int],
+    claimed: Iterable[int],
+) -> bool:
+    """Exhaustively check a positional strategy: against every positional
+    opponent strategy, every play from a claimed vertex must loop with the
+    right parity.  Raises ValueError when the strategy leaves the claimed
+    region.  Intended for small games only."""
+    succ = game.succ
+    n = len(game.vertices)
+    owner = [o for o, _ in game.vertices]
+    color = [c for _, c in game.vertices]
+    region = set(claimed)
+    if not region:
+        return True
+    for v in region:
+        if owner[v] == player:
+            if v not in choice:
+                raise ValueError("strategy undefined at claimed vertex %d" % v)
+            if choice[v] not in region:
+                raise ValueError("strategy leaves claimed region at %d" % v)
+    opp_vertices = [v for v in range(n) if owner[v] != player]
+    for combo in itertools.product(*(succ[v] for v in opp_vertices)):
+        nxt = dict(choice)
+        nxt.update(zip(opp_vertices, combo))
+        # follow deterministic successor map from every claimed start
+        ok_cache: Dict[int, bool] = {}
+        for start in region:
+            v = start
+            seen: Dict[int, int] = {}
+            path: List[int] = []
+            while True:
+                if v in ok_cache:
+                    ok = ok_cache[v]
+                    break
+                if v in seen:
+                    cyc = path[seen[v]:]
+                    top = max(color[u] for u in cyc)
+                    ok = (top % 2 == 0) == (player == 0)
+                    break
+                if v not in nxt:
+                    # play escaped to a vertex where the strategy is silent
+                    ok = False
+                    break
+                seen[v] = len(path)
+                path.append(v)
+                v = nxt[v]
+            for u in path:
+                ok_cache[u] = ok
+            if not ok:
+                return False
+    return True
+
+
+def check_strategy(
+    game: FiniteParityGame,
+    player: int,
+    choice: Mapping[int, int],
+    claimed: Iterable[int],
+) -> bool:
+    """Polynomial check that the positional strategy choice wins for player
+    from every claimed vertex (Emerson, Jutla & Sistla, CAV 1993).  Raises
+    ValueError when choice is undefined at a claimed vertex of player or
+    leaves the claimed region there.
+
+    In the strategy graph player follows choice and the opponent takes every
+    edge.  Player wins from the claimed vertices iff every play from them
+    stays where choice is defined and no reachable cycle has a highest color
+    of the opponent's parity.  A cycle whose highest color is d lies in an
+    SCC of the color-<=-d part of the graph, on an inner edge leaving a
+    color-d vertex."""
+    owner = [o for o, _ in game.vertices]
+    color = [c for _, c in game.vertices]
+    region = set(claimed)
+    for v in region:
+        if owner[v] == player:
+            if v not in choice:
+                raise ValueError("strategy undefined at claimed vertex %d" % v)
+            if choice[v] not in region:
+                raise ValueError("strategy leaves claimed region at %d" % v)
+    edges: List[Tuple[int, int, Tuple[int, ...]]] = []
+    reached = set(region)
+    todo = list(region)
+    while todo:
+        v = todo.pop()
+        if owner[v] == player:
+            if v not in choice:
+                return False
+            targets: Sequence[int] = (choice[v],)
+        else:
+            targets = game.succ[v]
+        for w in targets:
+            edges.append((v, w, ()))
+            if w not in reached:
+                reached.add(w)
+                todo.append(w)
+    for d in {color[v] for v in reached if color[v] % 2 != player}:
+        low = [i for i, (u, w, _) in enumerate(edges) if color[u] <= d and color[w] <= d]
+        for group in _inner_edges(edges, low):
+            if any(color[edges[i][0]] == d for i in group):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

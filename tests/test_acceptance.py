@@ -24,8 +24,10 @@ import time
 import conftest
 from helpers import (
     brute_force_parity,
+    check_strategy,
     mucalc_oracle,
     random_counter_game,
+    random_credit_game,
     random_guarded_formula,
     random_lts,
     random_parity_game,
@@ -47,7 +49,7 @@ from vassgames.core import (
     leq,
 )
 from vassgames.energy import energy_to_single_sided
-from vassgames.parity import solve_parity, verify_strategy
+from vassgames.parity import solve_parity
 from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import ParetoTable, vj_minimize
 
@@ -84,8 +86,8 @@ def test_01_parity_determinacy():
         g = random_parity_game(rng, rng.randint(1, 8), max_color=4, max_out=2)
         w0, w1, s0, s1 = solve_parity(g)
         assert w0 | w1 == set(range(len(g.vertices))) and not (w0 & w1)
-        assert verify_strategy(g, 0, s0, w0)
-        assert verify_strategy(g, 1, s1, w1)
+        assert check_strategy(g, 0, s0, w0)
+        assert check_strategy(g, 1, s1, w1)
         if i % 25 == 0:
             # spot check against the brute-force oracle as well
             bw0, bw1 = brute_force_parity(g)
@@ -148,10 +150,16 @@ def test_04_pareto_exactness(monkeypatch):
     rng = random.Random(10004)
     done = 0
     attempts = 0
+    predecessors = 0
     while done < 50:
         attempts += 1
         assert attempts < 600, "could not find enough resolvable instances"
-        g = random_counter_game(rng, rng.randint(2, 5), rng.randint(1, 2), single_sided=True)
+        if attempts % 2:
+            g = random_counter_game(rng, rng.randint(2, 5), rng.randint(1, 2), single_sided=True)
+        else:
+            # random_counter_game frontiers are nearly all 0 and have no
+            # pointwise predecessors
+            g = random_credit_game(rng, rng.randint(1, 2))
         built.clear()
         table = ParetoTable(g)
         frontier = table.frontier(frozenset(g.counters))
@@ -171,8 +179,10 @@ def test_04_pareto_exactness(monkeypatch):
         for gamma, v in verdicts:
             expect = WIN0 if frontier[gamma.state].covers(gamma) else WIN1
             assert v == expect, (gamma, v)
+            predecessors += expect == WIN1
         COLLECTED_TABLES.append((g, table, list(built)))
         done += 1
+    assert predecessors >= 50, predecessors
 
     # worked example through the command line, byte for byte
     buf = io.StringIO()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import helpers
-from helpers import all_configurations, random_counter_game, reference_solve_capped
+from helpers import all_configurations, check_strategy, random_counter_game, reference_solve_capped
 import vassgames
 from vassgames import bounded
 from vassgames.bounded import (
@@ -127,13 +127,14 @@ def test_energy_vs_vass_on_single_sided():
 def test_agrees_with_reference_solve_capped(monkeypatch):
     # the tuple-keyed grid: with every configuration as a root in rank
     # order, the same winners from the same parity game, vertex for vertex,
-    # so Zielonka does the same work
+    # so Zielonka does the same work; both strategies verify on every grid
     games = {bounded: [], helpers: []}
     for module, record in games.items():
 
         def recording(fg, record=record):
-            record.append(fg)
-            return solve_parity(fg)
+            solved = solve_parity(fg)
+            record.append((fg, solved))
+            return solved
 
         monkeypatch.setattr(module, "solve_parity", recording)
     rng = random.Random(6006)
@@ -152,6 +153,9 @@ def test_agrees_with_reference_solve_capped(monkeypatch):
                 compared += 1
     assert compared > 1000
     assert games[bounded] == games[helpers]
+    for fg, (w0, w1, s0, s1) in games[bounded]:
+        assert check_strategy(fg, 0, s0, w0)
+        assert check_strategy(fg, 1, s1, w1)
 
 
 def test_rooted_grid_agrees_with_full_grid():

@@ -263,6 +263,20 @@ class TestFormats:
         with pytest.raises(ValueError, match="line 1"):
             formats.parse_game("trans t1: q0 dec(c,0) q0\n")
 
+    @pytest.mark.parametrize("state_attrs, trans_attrs, error", [
+        (" owner=0 color=2 owner=1", "", "line 2: attribute 'owner' given twice"),
+        (" owner", "", "line 2: attribute 'owner' has no value"),
+        ("", " label=a label=b", "line 3: attribute 'label' given twice"),
+        ("", " label", "line 3: attribute 'label' has no value"),
+    ])
+    def test_bad_attribute_rejected(self, capsys, tmp_path, state_attrs, trans_attrs, error):
+        # a repeated attribute used to override the first one, and a bare
+        # label loaded as the empty action
+        p = tmp_path / "attr.game"
+        p.write_text("counters c\nstate q0%s\ntrans t1: q0 nop q0%s\n" % (state_attrs, trans_attrs))
+        code, _, err = run_cli(capsys, "pareto", str(p))
+        assert code == 2 and error in err
+
     def test_bad_directive_rejected(self):
         with pytest.raises(ValueError):
             formats.parse_game("flooble q0\n")

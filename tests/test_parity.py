@@ -1,10 +1,17 @@
-"""Finite parity solver against a brute-force strategy-enumeration oracle."""
+"""Finite parity solver against a brute-force strategy-enumeration oracle,
+and the polynomial strategy checker against the exhaustive one."""
 import random
 
 import pytest
 
-from helpers import brute_force_parity, random_parity_game, reference_solve_parity
-from vassgames.parity import FiniteParityGame, solve_parity, verify_strategy
+from helpers import (
+    brute_force_parity,
+    check_strategy,
+    random_parity_game,
+    reference_solve_parity,
+    reference_verify_strategy,
+)
+from vassgames.parity import FiniteParityGame, solve_parity
 
 
 def test_textbook_example():
@@ -14,7 +21,7 @@ def test_textbook_example():
     # the only cycles are v0-v1 (max color 1, odd) and v2 (odd): Player 1 wins all
     assert w0 == frozenset()
     assert w1 == frozenset({0, 1, 2})
-    assert verify_strategy(g, 1, s1, w1)
+    assert check_strategy(g, 1, s1, w1)
 
 
 def test_even_self_loop():
@@ -22,7 +29,7 @@ def test_even_self_loop():
     g = FiniteParityGame(((0, 2), (1, 1)), ((0, 1), (0,)))
     w0, w1, s0, s1 = solve_parity(g)
     assert w0 == frozenset({0, 1})
-    assert verify_strategy(g, 0, s0, w0)
+    assert check_strategy(g, 0, s0, w0)
 
 
 def test_vertex_without_edge_rejected():
@@ -40,8 +47,8 @@ def test_against_brute_force():
         b0, b1 = brute_force_parity(g)
         assert set(w0) == b0
         assert set(w1) == b1
-        assert verify_strategy(g, 0, s0, w0)
-        assert verify_strategy(g, 1, s1, w1)
+        assert check_strategy(g, 0, s0, w0)
+        assert check_strategy(g, 1, s1, w1)
 
 
 def test_verify_rejects_false_claim():
@@ -55,7 +62,7 @@ def test_verify_rejects_false_claim():
         # claim the whole board for Player 0 with Player 0's real strategy
         bogus = set(w0) | {next(iter(w1))}
         try:
-            ok = verify_strategy(g, 0, s0, bogus)
+            ok = check_strategy(g, 0, s0, bogus)
         except ValueError:
             ok = False
         if not ok:
@@ -70,36 +77,59 @@ def test_strategy_stays_in_region():
     for _ in range(40):
         g = random_parity_game(rng, rng.randint(2, 6))
         w0, w1, s0, s1 = solve_parity(g)
-        c0 = s0.as_dict()
         for v in w0:
             owner, _ = g.vertices[v]
             if owner == 0:
-                assert c0[v] in w0
-        c1 = s1.as_dict()
+                assert s0[v] in w0
         for v in w1:
             owner, _ = g.vertices[v]
             if owner == 1:
-                assert c1[v] in w1
+                assert s1[v] in w1
 
 
 def test_agrees_with_reference_zielonka():
-    # the set-copying solver the alive mask replaced: same winning sets;
-    # each strategy keeps its player in its region, and verifies on small games
+    # the set-copying solver the alive mask replaced: same winning sets, and
+    # both strategies verify
     rng = random.Random(31013)
-    verified = 0
     for _ in range(1200):
         n = rng.randint(1, 40)
         g = random_parity_game(rng, n, max_color=6, max_out=rng.randint(1, 3))
         w0, w1, s0, s1 = solve_parity(g)
         r0, r1, _, _ = reference_solve_parity(g)
         assert (w0, w1) == (r0, r1)
-        for player, region, strat in ((0, w0, s0), (1, w1, s1)):
-            choice = strat.as_dict()
-            for v in region:
-                if g.vertices[v][0] == player:
-                    assert choice[v] in region
-        if n <= 8:
-            assert verify_strategy(g, 0, s0, w0)
-            assert verify_strategy(g, 1, s1, w1)
-            verified += 1
-    assert verified > 100
+        assert check_strategy(g, 0, s0, w0)
+        assert check_strategy(g, 1, s1, w1)
+
+
+def test_large_games_verify():
+    rng = random.Random(41041)
+    for _ in range(100):
+        g = random_parity_game(rng, rng.randint(200, 2000), max_color=8, max_out=3)
+        w0, w1, s0, s1 = solve_parity(g)
+        assert w0 | w1 == set(range(len(g.vertices))) and not (w0 & w1)
+        assert check_strategy(g, 0, s0, w0)
+        assert check_strategy(g, 1, s1, w1)
+
+
+def _verdict(verify, g, player, choice, region):
+    try:
+        return verify(g, player, choice, region)
+    except ValueError:
+        return "ValueError"
+
+
+def test_check_strategy_agrees_with_exhaustive_verifier():
+    # random (game, player, partial strategy, nonempty region): choices
+    # with arbitrary targets at about 90% of the player's vertices
+    rng = random.Random(13013)
+    outcomes = {True: 0, False: 0, "ValueError": 0}
+    for _ in range(6000):
+        n = rng.randint(1, 7)
+        g = random_parity_game(rng, n, max_color=5, max_out=rng.randint(1, 3))
+        player = rng.randint(0, 1)
+        choice = {v: rng.randrange(n) for v in range(n) if g.vertices[v][0] == player and rng.random() < 0.9}
+        region = set(rng.sample(range(n), rng.randint(1, n)))
+        got = _verdict(check_strategy, g, player, choice, region)
+        assert got == _verdict(reference_verify_strategy, g, player, choice, region), (g, player, choice, region)
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
