@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pareto-energy", help="Pareto frontier of the energy parity objective")
     p.add_argument("game")
     p.add_argument("--counters", default=None)
-    _add_common(p)
+    _add_common(p, sinks=False)
 
     p = sub.add_parser("check", help="single membership query at a (partial) configuration")
     p.add_argument("game")
@@ -184,7 +184,8 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd in ("pareto", "pareto-energy"):
-        game, _ = _load_game(args.game, args)
+        # energy semantics disables no move, so only pareto needs the check
+        game, _ = _load_game(args.game, args, require_deadlock_free=cmd == "pareto")
         counters = _counter_list(game, args.counters)
         if cmd == "pareto":
             frontier = pareto_single_sided_vass(game, counters, budget)

@@ -16,8 +16,18 @@ with p(v) >= p(u) + w on every edge u -> v.  A cycle's effect is then the
 sum of the nonpositive slacks p(u) + w - p(v) along it, so it is at most 0
 and equals 0 iff every edge is tight; a closed walk splits into cycles, so
 one through v with nonnegative effect exists iff v lies on a cycle of tight
-edges.  For more counters, closed-walk existence is circulation feasibility,
-decided with an exact integer simplex plus support pruning.
+edges.
+
+For more counters, a closed walk's edge counts form a circulation: x >= 0 on
+the edges, balanced at every vertex, with effect linear in x.  Support pruning
+(Kosaraju & Sullivan, STOC 1988) keeps the edges of a strongly connected group
+that some circulation with nonnegative effect uses (an exact simplex with
+x >= 1 on the edge), splits the kept edges into strongly connected groups and
+prunes each again, until a group keeps every edge.  The sum of its edges'
+circulations, scaled to integers, is balanced, strongly connected, nonnegative
+in effect and at least 1 on every edge, so it is Eulerian: one closed walk
+through all of the group's vertices, which are good.  A nonnegative closed
+walk is a circulation in every group that holds it, so it is never pruned.
 
 The single-sided embedding of energy games splits only Player-1 counter
 updates.  Its losing escapes come from core.complete_with_sinks, which adds
@@ -111,51 +121,25 @@ def _good_1d(ids: List[int], edges: List[Tuple[int, int, Tuple[int, ...]]]) -> S
     return {edges[i][0] for group in _inner_edges(edges, tight) for i in group}
 
 
-def _circulation_feasible(
-    edges: List[Tuple[int, int, Tuple[int, ...]]],
-    active: List[int],
-    required: int,
-    dims: int,
-) -> bool:
-    """Is there a circulation over the active edges with x[required] >= 1 and
-    componentwise nonnegative total effect?"""
-    verts = sorted({edges[e][0] for e in active} | {edges[e][1] for e in active})
-    n = len(active)
-    eq_rows = []
-    for v in verts:
-        coeffs = [0] * n
-        for j, e in enumerate(active):
-            u, w, _ = edges[e]
-            if u == v:
-                coeffs[j] += 1
-            if w == v:
-                coeffs[j] -= 1
-        eq_rows.append((coeffs, 0))
-    ge_rows = []
-    for d in range(dims):
-        coeffs = [edges[e][2][d] for e in active]
-        ge_rows.append((coeffs, 0))
-    lower = [1 if active[j] == required else 0 for j in range(n)]
-    return _simplex.feasible(n, eq_rows, ge_rows, lower)
-
-
-def _good_multi(
-    v0: int,
-    ids: List[int],
-    edges: List[Tuple[int, int, Tuple[int, ...]]],
-    dims: int,
-) -> bool:
-    """Support-pruning fixpoint: keep edges usable by some nonnegative-effect
-    circulation, restrict to the strongly connected piece around v0, repeat.
-    Feasible iff the fixpoint still touches v0."""
-    active = ids
-    while active:
-        kept = [e for e in active if _circulation_feasible(edges, active, e, dims)]
-        nxt = next((g for g in _inner_edges(edges, kept) if any(edges[e][0] == v0 for e in g)), [])
-        if nxt == active:
-            return True
-        active = nxt
-    return False
+def _good_multi(ids: List[int], edges: List[Tuple[int, int, Tuple[int, ...]]], dims: int) -> Set[int]:
+    """Vertices of one strongly connected group of multi-counter edges that
+    lie on a closed walk with componentwise nonnegative effect, by support
+    pruning over a worklist of groups (see the module docstring)."""
+    good: Set[int] = set()
+    groups = [ids]
+    while groups:
+        group = groups.pop()
+        verts = sorted({edges[e][0] for e in group})  # every target is a source too
+        eq_rows = [([(edges[e][0] == v) - (edges[e][1] == v) for e in group], 0) for v in verts]
+        ge_rows = [([edges[e][2][d] for e in group], 0) for d in range(dims)]
+        n = len(group)
+        unit = [[0] * j + [1] + [0] * (n - j - 1) for j in range(n)]  # x[j] >= 1 for the j-th edge
+        kept = [e for e, lower in zip(group, unit) if _simplex.feasible(n, eq_rows, ge_rows, lower)]
+        if len(kept) == n:
+            good.update(verts)
+        else:
+            groups.extend(_inner_edges(edges, kept))
+    return good
 
 
 def _one_player_win_set(
@@ -170,20 +154,16 @@ def _one_player_win_set(
     A vertex of even color d is good when it lies on a closed walk with
     nonnegative effect among the vertices of color <= d; Player 0 wins from
     the states that reach a good vertex.  Such a walk stays inside one SCC of
-    that subgraph, so each SCC's inner edges are tested once: for one counter
-    by _good_1d, whose Bellman-Ford potentials leave exactly the zero-effect
-    cycles on tight edges, for more by the support-pruning fixpoint."""
+    that subgraph, so each SCC holding a color-d candidate hands its inner
+    edges once to _good_1d (one counter) or _good_multi (more), which both
+    return the SCC's vertices that lie on such a walk."""
     good: Set[int] = set()
     for d in sorted({c for c in colors if c % 2 == 0}):
         sub = [i for i, (u, v, _) in enumerate(edges) if colors[u] <= d and colors[v] <= d]
         for group in _inner_edges(edges, sub):
             cand = {edges[i][0] for i in group if colors[edges[i][0]] == d} - good
-            if not cand:
-                continue
-            if dims == 1:
-                good |= cand & _good_1d(group, edges)
-            else:
-                good.update([v0 for v0 in cand if _good_multi(v0, group, edges, dims)])
+            if cand:
+                good |= cand & (_good_1d(group, edges) if dims == 1 else _good_multi(group, edges, dims))
     # backward reachability to a good vertex, over all edges
     pred: List[List[int]] = [[] for _ in range(n)]
     for u, v, _dl in edges:
@@ -206,7 +186,8 @@ def solve_abstract_energy_parity(
     """Per-state winner (0 or 1) of the parity-and-stay-nonnegative objective
     for some sufficiently large initial credit.
 
-    Requires a deadlock-free game (syntactic check).  Enumeration stops as
+    Requires every state to have a move, since energy semantics never
+    disables one; a state without moves is a ValueError.  Enumeration stops as
     soon as no state is left winning for Player 0; it raises BudgetExceeded
     once more than budget.strategy_budget Player-1 strategies have been
     enumerated, or when the deadline passes."""

@@ -56,13 +56,20 @@ def _attributes(words: List[str]) -> Dict[str, str]:
     """The key=value words of a directive; each key at most once."""
     attrs: Dict[str, str] = {}
     for word in words:
-        key, eq, value = word.partition("=")
-        if not eq:
+        key, _, value = word.partition("=")
+        if not value:
             raise ValueError("attribute %r has no value" % key)
         if key in attrs:
             raise ValueError("attribute %r given twice" % key)
         attrs[key] = value
     return attrs
+
+
+def _integer(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("attribute %r is not an integer: %r" % (key, value)) from None
 
 
 def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
@@ -87,8 +94,7 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
             elif kind == "state":
                 name = parts[1]
                 attrs = _attributes(parts[2:])
-                owner = int(attrs.pop("owner", "0"))
-                color = int(attrs.pop("color", "0"))
+                owner, color = (_integer(k, attrs.pop(k, "0")) for k in ("owner", "color"))
                 if attrs:
                     raise ValueError("unknown state attributes %s" % sorted(attrs))
                 states.append(State(name, owner, color))

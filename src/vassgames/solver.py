@@ -205,13 +205,7 @@ class ParetoTable:
         self.game = game
         self.budget = budget or Budget()
         self._frontiers: Dict[FrozenSet[str], Dict[str, Antichain]] = {}
-        self._abstract: Optional[Dict[str, int]] = None
         self._query_cache: Dict[PartialConfig, bool] = {}
-
-    def abstract_verdicts(self) -> Dict[str, int]:
-        if self._abstract is None:
-            self._abstract = solve_abstract_energy_parity(self.game, self.budget)
-        return self._abstract
 
     def _beta(self, C: FrozenSet[str]) -> List[PartialConfig]:
         beta: List[PartialConfig] = []
@@ -220,29 +214,20 @@ class ParetoTable:
                 beta.extend(ac)
         return beta
 
-    def solve_c_version(self, gamma: PartialConfig) -> bool:
-        """Does Player 0 win every (equivalently, some) full instantiation of
-        gamma when only the counters in dom(gamma) are tracked as hard?"""
-        C = gamma.dom
-        if not C:
-            return self.abstract_verdicts()[gamma.state] == 0
-        if gamma in self._query_cache:
-            return self._query_cache[gamma]
-        out = build_out_game(self.game, gamma, self._beta(C), self.budget)
-        verdicts = solve_abstract_energy_parity(out.game, self.budget)
-        ans = verdicts[out.root] == 0
-        self._query_cache[gamma] = ans
-        return ans
-
     def membership(self, gamma: PartialConfig, C: FrozenSet[str]) -> bool:
         """Does some C-instantiation of gamma lie in the Player-0 winning set
         with tracked counters C?  (For upward closed sets this also equals
-        "gamma extends to a winning configuration".)"""
+        "gamma extends to a winning configuration".)  A full, nonempty domain
+        is decided by one cached out-game; any other reads the frontier over
+        gamma's domain, the abstract verdicts when that domain is empty."""
         if not gamma.dom <= C:
             raise ValueError("query domain must be inside the tracked set")
-        if gamma.dom == C:
-            return self.solve_c_version(gamma)
-        return self.frontier(gamma.dom)[gamma.state].covers(gamma)
+        if gamma.dom != C or not C:
+            return self.frontier(gamma.dom)[gamma.state].covers(gamma)
+        if gamma not in self._query_cache:
+            out = build_out_game(self.game, gamma, self._beta(C), self.budget)
+            self._query_cache[gamma] = solve_abstract_energy_parity(out.game, self.budget)[out.root] == 0
+        return self._query_cache[gamma]
 
     def frontier(self, C: FrozenSet[str]) -> Dict[str, Antichain]:
         C = frozenset(C)
@@ -253,7 +238,7 @@ class ParetoTable:
         if not C:
             result = {
                 q: (Antichain([PartialConfig.make(q)]) if w == 0 else Antichain())
-                for q, w in self.abstract_verdicts().items()
+                for q, w in solve_abstract_energy_parity(self.game, self.budget).items()
             }
         else:
             for c in sorted(C):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from vassgames import _simplex
 from vassgames.applications import (
     TAU,
     And,
@@ -44,7 +45,7 @@ from vassgames.core import (
     leq,
 )
 from vassgames.bounded import OVERFLOW_WINS_P0, SATURATE
-from vassgames.energy import _circulation_feasible, _inner_edges
+from vassgames.energy import _inner_edges
 from vassgames.parity import FiniteParityGame, solve_parity
 from vassgames.semantics import ENERGY, VASS, vass_step
 from vassgames.solver import EXTRACT_LIMIT, OutGame
@@ -701,7 +702,8 @@ def reference_verify_strategy(
     """Exhaustively check a positional strategy: against every positional
     opponent strategy, every play from a claimed vertex must loop with the
     right parity.  Raises ValueError when the strategy leaves the claimed
-    region.  Intended for small games only."""
+    region.  It does not check that the choices are edges of the game.
+    Intended for small games only."""
     succ = game.succ
     n = len(game.vertices)
     owner = [o for o, _ in game.vertices]
@@ -757,7 +759,8 @@ def check_strategy(
     """Polynomial check that the positional strategy choice wins for player
     from every claimed vertex (Emerson, Jutla & Sistla, CAV 1993).  Raises
     ValueError when choice is undefined at a claimed vertex of player or
-    leaves the claimed region there.
+    leaves the claimed region there, or when a choice a play from the
+    claimed vertices follows is not an edge of the game.
 
     In the strategy graph player follows choice and the opponent takes every
     edge.  Player wins from the claimed vertices iff every play from them
@@ -777,11 +780,15 @@ def check_strategy(
     edges: List[Tuple[int, int, Tuple[int, ...]]] = []
     reached = set(region)
     todo = list(region)
+    stuck = False  # a play reaches a vertex of player without a choice
     while todo:
         v = todo.pop()
         if owner[v] == player:
             if v not in choice:
-                return False
+                stuck = True
+                continue
+            if choice[v] not in game.succ[v]:
+                raise ValueError("strategy at %d takes a non-edge to %d" % (v, choice[v]))
             targets: Sequence[int] = (choice[v],)
         else:
             targets = game.succ[v]
@@ -790,6 +797,8 @@ def check_strategy(
             if w not in reached:
                 reached.add(w)
                 todo.append(w)
+    if stuck:
+        return False
     for d in {color[v] for v in reached if color[v] % 2 != player}:
         low = [i for i, (u, w, _) in enumerate(edges) if color[u] <= d and color[w] <= d]
         for group in _inner_edges(edges, low):
@@ -953,7 +962,8 @@ def reference_energy_to_single_sided(game: IntegerGame) -> IntegerGame:
 
 # ---------------------------------------------------------------------------
 # reference one-player check: the Tarjan, Bellman-Ford and support-pruning
-# code that energy._one_player_win_set replaced, kept verbatim.  It must give
+# code that energy._one_player_win_set replaced, kept verbatim, with the
+# per-edge circulation test that energy._good_multi absorbed.  It must give
 # the same winning set on every graph.
 
 NEG_INF = None  # marker for "unreachable" in longest-path tables
@@ -1040,6 +1050,34 @@ def _best_closed_walk(v0: int, verts: Set[int], edges: List[Tuple[int, int, int]
             if best is None or cand > best:
                 best = cand
     return best
+
+
+def _circulation_feasible(
+    edges: List[Tuple[int, int, Tuple[int, ...]]],
+    active: List[int],
+    required: int,
+    dims: int,
+) -> bool:
+    """Is there a circulation over the active edges with x[required] >= 1 and
+    componentwise nonnegative total effect?"""
+    verts = sorted({edges[e][0] for e in active} | {edges[e][1] for e in active})
+    n = len(active)
+    eq_rows = []
+    for v in verts:
+        coeffs = [0] * n
+        for j, e in enumerate(active):
+            u, w, _ = edges[e]
+            if u == v:
+                coeffs[j] += 1
+            if w == v:
+                coeffs[j] -= 1
+        eq_rows.append((coeffs, 0))
+    ge_rows = []
+    for d in range(dims):
+        coeffs = [edges[e][2][d] for e in active]
+        ge_rows.append((coeffs, 0))
+    lower = [1 if active[j] == required else 0 for j in range(n)]
+    return _simplex.feasible(n, eq_rows, ge_rows, lower)
 
 
 def _good_multi(

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from vassgames import cli, formats
+from vassgames.energy import pareto_energy
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 G1 = os.path.join(DATA, "g1.game")
@@ -64,6 +65,29 @@ class TestExitCodes:
             outs.append(out)
         assert outs[0] == outs[1] == "q0: (c=0)\nq1: (c=1)\n"
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # Player 1 at q1 can only decrement; q0 pumps or hands back
+            "state q0 owner=0 color=2\nstate q1 owner=1 color=0\n"
+            "trans t1: q1 dec(c) q0\ntrans t2: q0 dec(c) q1\ntrans t3: q0 inc(c) q0\n",
+            # Player 0 can only drain
+            "state q0 owner=0 color=0\ntrans t1: q0 dec(c) q0\n",
+        ],
+        ids=["player1-dec-only", "player0-dec-only"],
+    )
+    def test_energy_game_needs_no_deadlock_repair(self, capsys, tmp_path, body):
+        # no energy move is ever disabled, and the embedding adds its own
+        # escapes, so pareto-energy loads the game as it is
+        p = tmp_path / "energy.game"
+        p.write_text("counters c\n" + body)
+        game, _ = formats.parse_game(p.read_text())
+        expected = pareto_energy(game, game.counters)
+        code, out, _ = run_cli(capsys, "pareto-energy", str(p))
+        assert code == 0 and out.splitlines() == formats.format_frontier(game, expected)
+        code, out, _ = run_cli(capsys, "pareto-energy", str(p), "--format", "json")
+        assert code == 0 and json.loads(out)["frontier"] == formats.frontier_json(game, expected)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve-abstract", os.path.join(DATA, "nope.game"))
         assert code == 2
@@ -98,6 +122,7 @@ class TestExitCodes:
         for argv in (
             ["oracle", G1, "--config", "q0 c=1", "--node-budget", "5"],
             ["oracle", G1, "--config", "q0 c=1", "--complete-sinks"],
+            ["pareto-energy", G1, "--complete-sinks"],
             ["generate", "--seed", "7", "--format", "json"],
             ["generate", "--seed", "7", "--time-budget-ms", "100"],
             ["solve-abstract", G1, "--node-budget", "1"],
@@ -268,10 +293,15 @@ class TestFormats:
         (" owner", "", "line 2: attribute 'owner' has no value"),
         ("", " label=a label=b", "line 3: attribute 'label' given twice"),
         ("", " label", "line 3: attribute 'label' has no value"),
+        ("", " label=", "line 3: attribute 'label' has no value"),
+        (" owner=", "", "line 2: attribute 'owner' has no value"),
+        (" color=", "", "line 2: attribute 'color' has no value"),
+        (" owner=x", "", "line 2: attribute 'owner' is not an integer: 'x'"),
     ])
     def test_bad_attribute_rejected(self, capsys, tmp_path, state_attrs, trans_attrs, error):
-        # a repeated attribute used to override the first one, and a bare
-        # label loaded as the empty action
+        # a repeated attribute used to override the first one, a bare or
+        # empty label loaded as the empty action, and an empty or
+        # non-integer owner failed without naming the attribute
         p = tmp_path / "attr.game"
         p.write_text("counters c\nstate q0%s\ntrans t1: q0 nop q0%s\n" % (state_attrs, trans_attrs))
         code, _, err = run_cli(capsys, "pareto", str(p))

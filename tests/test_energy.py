@@ -238,6 +238,22 @@ def test_one_player_check_agrees_with_reference():
     assert shapes == {(k, split) for k in (1, 2, 3) for split in (False, True)}
 
 
+def test_support_pruning_runs_once_per_group(monkeypatch):
+    # seed 6's base game (20 states, 2 counters, 72 Player-1 strategies):
+    # support pruning once per candidate vertex made 6,780 simplex calls on
+    # 438 distinct systems; once per strongly connected group it makes 1,302
+    g, _ = generate_game(6, 20, 2)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(_simplex, "feasible", counting)
+    assert set(solve_abstract_energy_parity(g).values()) == {0}
+    assert 0 < len(calls) <= 1302
+
+
 def all_strategies_lose_for_player1(k):
     """A ring of k Player-1 states, each with two moves to the next, closed
     by a pumping Player-0 state: Player 0 wins under all 2**k strategies."""

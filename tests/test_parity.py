@@ -118,18 +118,56 @@ def _verdict(verify, g, player, choice, region):
         return "ValueError"
 
 
+def _follows_non_edge(g, player, choice, region):
+    """Does a play from region, with player following choice, reach a vertex
+    whose choice is not an edge of g?"""
+    reached, todo = set(region), list(region)
+    while todo:
+        v = todo.pop()
+        if g.vertices[v][0] != player:
+            targets = g.succ[v]
+        elif v not in choice:
+            continue
+        elif choice[v] not in g.succ[v]:
+            return True
+        else:
+            targets = (choice[v],)
+        for w in set(targets) - reached:
+            reached.add(w)
+            todo.append(w)
+    return False
+
+
 def test_check_strategy_agrees_with_exhaustive_verifier():
     # random (game, player, partial strategy, nonempty region): choices
-    # with arbitrary targets at about 90% of the player's vertices
+    # with arbitrary targets at about 90% of the player's vertices; the
+    # exhaustive verifier does not check edges, so a followed choice that
+    # is not an edge expects ValueError instead of its verdict
     rng = random.Random(13013)
     outcomes = {True: 0, False: 0, "ValueError": 0}
-    for _ in range(6000):
+    for _ in range(8000):
         n = rng.randint(1, 7)
         g = random_parity_game(rng, n, max_color=5, max_out=rng.randint(1, 3))
         player = rng.randint(0, 1)
         choice = {v: rng.randrange(n) for v in range(n) if g.vertices[v][0] == player and rng.random() < 0.9}
         region = set(rng.sample(range(n), rng.randint(1, n)))
         got = _verdict(check_strategy, g, player, choice, region)
-        assert got == _verdict(reference_verify_strategy, g, player, choice, region), (g, player, choice, region)
+        if _follows_non_edge(g, player, choice, region):
+            expected = "ValueError"
+        else:
+            expected = _verdict(reference_verify_strategy, g, player, choice, region)
+        assert got == expected, (g, player, choice, region)
         outcomes[got] += 1
     assert min(outcomes.values()) >= 1000, outcomes
+
+
+def test_check_strategy_rejects_a_non_edge():
+    # 0 (P0, color 1) -> 1, 1 (P0, color 1) -> 1, 2 (P0, color 0) -> 2: the
+    # choice 0 -> 2 is not an edge, and Player 0 loses from 0; both
+    # checkers used to accept it on {0, 2}
+    g = FiniteParityGame(((0, 1), (0, 1), (0, 0)), ((1,), (1,), (2,)))
+    choice = {0: 2, 2: 2}
+    assert reference_verify_strategy(g, 0, choice, {0, 2})
+    with pytest.raises(ValueError, match="non-edge"):
+        check_strategy(g, 0, choice, {0, 2})
+    assert check_strategy(g, 0, {2: 2}, {2})
