@@ -59,10 +59,10 @@ def _budget(args: argparse.Namespace) -> Budget:
     return Budget(node_budget=getattr(args, "node_budget", Budget.node_budget), deadline=deadline)
 
 
-def _load_game(path: str, args: argparse.Namespace, require_deadlock_free: bool = True):
+def _load_game(path: str, args: argparse.Namespace):
     with open(path) as fh:
         game, labels = formats.parse_game(fh.read())
-    if require_deadlock_free:
+    if "complete_sinks" in args:  # registered by the commands that need the check
         bad = check_deadlock_free(game)
         if bad:
             if args.complete_sinks:
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-abstract", help="per-state abstract verdicts (some-credit wins)")
     p.add_argument("game")
-    _add_common(p, nodes=False)
+    _add_common(p, nodes=False, sinks=False)
 
     p = sub.add_parser("pareto", help="Pareto frontier under VASS semantics (single-sided game)")
     p.add_argument("game")
@@ -167,7 +167,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd == "oracle":
-        game, _ = _load_game(args.game, args, require_deadlock_free=False)
+        game, _ = _load_game(args.game, args)
         gamma = formats.parse_config(game, args.config)
         verdict = bracket_decide(game, args.semantics, gamma, max_cap=args.cap)
         label = {"win0": "Win0", "win1": "Win1", "unknown": "Unknown"}[verdict]
@@ -184,8 +184,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if cmd in ("pareto", "pareto-energy"):
-        # energy semantics disables no move, so only pareto needs the check
-        game, _ = _load_game(args.game, args, require_deadlock_free=cmd == "pareto")
+        game, _ = _load_game(args.game, args)
         counters = _counter_list(game, args.counters)
         if cmd == "pareto":
             frontier = pareto_single_sided_vass(game, counters, budget)
@@ -209,8 +208,7 @@ def run(args: argparse.Namespace) -> int:
             fs = formats.parse_lts(fh.read())
         if not fs.states:
             raise ValueError("process has no states")
-        with open(args.vass) as fh:
-            vass, labels = formats.parse_game(fh.read())
+        vass, labels = _load_game(args.vass, args)
         gamma = formats.parse_config(vass, args.init)
         ans = check_weaksim(fs, fs.states[0], vass, labels, gamma.state, gamma.valuation, budget)
         _emit(args, {"command": cmd, "verdict": ans}, ["true" if ans else "false"])

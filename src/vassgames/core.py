@@ -104,7 +104,8 @@ class IntegerGame:
     """A game graph with unit counter updates.
 
     States and transitions keep their declaration order; all deterministic
-    output follows that order.
+    output follows that order.  One map from state names to positions serves
+    the name lookups and the compiled moves.
     """
 
     counters: Tuple[str, ...]
@@ -114,31 +115,31 @@ class IntegerGame:
     def __post_init__(self) -> None:
         if len(set(self.counters)) != len(self.counters):
             raise ValueError("duplicate counter names")
-        by_name: Dict[str, State] = {}
-        for s in self.states:
-            if s.name in by_name:
+        index: Dict[str, int] = {}
+        for i, s in enumerate(self.states):
+            if s.name in index:
                 raise ValueError("duplicate state %r" % s.name)
-            by_name[s.name] = s
+            index[s.name] = i
         out: Dict[str, List[Transition]] = {s.name: [] for s in self.states}
         tids = set()
         for t in self.transitions:
             if t.tid in tids:
                 raise ValueError("duplicate transition id %r" % t.tid)
             tids.add(t.tid)
-            if t.source not in by_name or t.target not in by_name:
+            if t.source not in index or t.target not in index:
                 raise ValueError("transition %r uses unknown state" % t.tid)
             if t.op.kind != NOP and t.op.counter not in self.counters:
                 raise ValueError("transition %r uses unknown counter" % t.tid)
             out[t.source].append(t)
-        object.__setattr__(self, "_state_by_name", by_name)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_out", {q: tuple(ts) for q, ts in out.items()})
         object.__setattr__(self, "_trans_by_id", {t.tid: t for t in self.transitions})
 
     def state(self, name: str) -> State:
-        return self._state_by_name[name]  # type: ignore[attr-defined]
+        return self.states[self._index[name]]  # type: ignore[attr-defined]
 
     def has_state(self, name: str) -> bool:
-        return name in self._state_by_name  # type: ignore[attr-defined]
+        return name in self._index  # type: ignore[attr-defined]
 
     def transition(self, tid: str) -> Transition:
         return self._trans_by_id[tid]  # type: ignore[attr-defined]
@@ -154,7 +155,7 @@ class IntegerGame:
         """The game in integer form, compiled on first use: per state index,
         its moves in out() order as (target index, counter index or -1,
         delta).  Solvers number vertices from these indices."""
-        index = {s.name: i for i, s in enumerate(self.states)}
+        index = self._index  # type: ignore[attr-defined]
         cidx = {c: i for i, c in enumerate(self.counters)}
         cidx[None] = -1
         out = self._out  # type: ignore[attr-defined]

@@ -192,12 +192,12 @@ def solve_abstract_energy_parity(
     once more than budget.strategy_budget Player-1 strategies have been
     enumerated, or when the deadline passes."""
     budget = budget or Budget()
+    moves = game.moves
     # energy semantics never disables a move, so only sinks are a problem
-    bad = [s.name for s in game.states if not game.out(s.name)]
+    bad = [s.name for s, ms in zip(game.states, moves) if not ms]
     if bad:
         raise ValueError("states without moves: %s" % ", ".join(bad))
 
-    moves = game.moves
     if not game.counters:
         fg = FiniteParityGame(
             tuple([(s.owner, s.color) for s in game.states]),

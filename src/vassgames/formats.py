@@ -184,7 +184,7 @@ def parse_config(game: IntegerGame, text: str) -> PartialConfig:
     items = []
     for p in parts[1:]:
         c, eq, v = p.partition("=")
-        if not eq or c not in game.counters:
+        if not eq or c not in game.counters or not v.isdecimal():
             raise ValueError("bad counter assignment %r" % p)
         items.append((c, int(v)))
     return PartialConfig(state, tuple(items))

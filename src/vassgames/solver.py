@@ -10,16 +10,16 @@ The solver works by induction on the tracked counter subset C:
   counters are the untracked ones; leaves are recolored losing when the label
   drops out of the smaller frontiers (coverability test against their union
   beta) and winning when a label strictly dominates one of its ancestors.
-  The frontier itself is then recovered from the membership oracle,
-  Valk-Jantzen style, by a worklist of downward closed boxes that still may
-  hold frontier elements.  A box meets the upward closed winning set iff its
-  corner does, so one probe decides a box; a positive corner is lowered to a
-  minimal element in one pass over the counters, and the boxes containing
-  that element are cut just below it.
+  The out-game is emitted in the pass that unfolds it, nodes being expanded
+  in the order they are created.  The frontier itself is then recovered
+  from the membership oracle, Valk-Jantzen style, by a worklist of downward
+  closed boxes that still may hold frontier elements.  A box meets the
+  upward closed winning set iff its corner does, so one probe decides a
+  box; a positive corner is lowered to a minimal element in one pass over
+  the counters, and the boxes containing that element are cut just below it.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -27,6 +27,7 @@ from .core import (
     Antichain,
     Budget,
     BudgetExceeded,
+    CounterOp,
     IntegerGame,
     NOP_OP,
     PartialConfig,
@@ -100,7 +101,12 @@ def build_out_game(
     ancestor.  Other nodes expand along the VASS-enabled transitions,
     rewriting updates of tracked counters to Nop, and merge with the earliest
     created ancestor carrying an equal label, found through a dict from
-    labels to their nodes, instead of growing a new branch."""
+    labels to their nodes, instead of growing a new branch.
+
+    The out-game is emitted in the same pass: nodes are expanded in the order
+    they are created, so node n's State, appended when n is expanded and its
+    leaf color known, lands at position n, and each edge becomes its
+    Transition as it is made."""
     budget = budget or Budget()
     C = gamma.dom
     if not C:
@@ -110,10 +116,12 @@ def build_out_game(
 
     labels: List[PartialConfig] = []
     keys: List[Key] = []
+    names: List[str] = []
     nodes_of: Dict[Key, List[int]] = {}  # label -> its nodes in creation order
     preds: List[List[int]] = []
-    leaf_color: Dict[int, int] = {}
-    edges: List[Tuple[int, int, object, Optional[str]]] = []  # (src, dst, op, orig tid)
+    states: List[State] = []
+    transitions: List[Transition] = []
+    origin: Dict[str, Optional[str]] = {}
 
     def new_node(label: PartialConfig, key: Key) -> int:
         if len(labels) >= budget.node_budget:
@@ -121,24 +129,23 @@ def build_out_game(
         n = len(labels)
         labels.append(label)
         keys.append(key)
+        names.append("n%d" % n)
         nodes_of.setdefault(key, []).append(n)
         preds.append([])
         return n
 
-    root = new_node(gamma, (gamma.state, tuple(v for _, v in gamma.items)))
-    work = deque([root])
-    ticks = 0
-    while work:
-        ticks += 1
-        if ticks % 64 == 0:
+    def add_edge(src: int, dst: int, op: CounterOp, orig: Optional[str]) -> None:
+        tid = "e%d" % len(transitions)
+        transitions.append(Transition(tid, names[src], op, names[dst]))
+        origin[tid] = orig
+        preds[dst].append(src)
+
+    new_node(gamma, (gamma.state, tuple(v for _, v in gamma.items)))
+    for q, label in enumerate(labels):  # labels grows while it is walked
+        if q % 64 == 63:
             budget.check_time("out-game unfolding")
-        q = work.popleft()
         state, vals = keys[q]
-        if not covered(state, vals):
-            leaf_color[q] = 1
-            edges.append((q, q, NOP_OP, None))
-            preds[q].append(q)
-            continue
+        leaf = None if covered(state, vals) else 1  # q's leaf color; None if q expands
         # The ancestors of q are every node with a path to q in the out-game
         # built so far, not only q's branch of the unfolding tree.  Every such
         # node is reachable from the root, so it precedes q on some play and a
@@ -149,47 +156,33 @@ def build_out_game(
         # memory.  The walk stops at the first ancestor q dominates; when
         # there is none it has visited every ancestor, which the merges need.
         seen = {q}
-        stack = [q]
-        dominates = False
-        while stack and not dominates:
+        stack = [q] if leaf is None else []
+        while stack and leaf is None:
             for u in preds[stack.pop()]:
                 if u not in seen:
                     seen.add(u)
                     s, v = keys[u]
                     if s == state and v != vals and all(x <= y for x, y in zip(v, vals)):
-                        dominates = True
+                        leaf = 0
                         break
                     stack.append(u)
-        if dominates:
-            leaf_color[q] = 0
-            edges.append((q, q, NOP_OP, None))
-            preds[q].append(q)
+        st = game.state(state)
+        states.append(State(names[q], st.owner, st.color if leaf is None else leaf))
+        if leaf is not None:
+            add_edge(q, q, NOP_OP, None)
             continue
         for t in game.out(state):
-            nxt = vass_step(game, labels[q], t.tid)
+            nxt = vass_step(game, label, t.tid)
             if nxt is None:
                 continue
             key = (nxt.state, tuple(v for _, v in nxt.items))
             target = next((n for n in nodes_of.get(key, ()) if n in seen), None)
             if target is None:
                 target = new_node(nxt, key)
-                work.append(target)
-            edges.append((q, target, NOP_OP if t.op.counter in C else t.op, t.tid))
-            preds[target].append(q)
+            add_edge(q, target, NOP_OP if t.op.counter in C else t.op, t.tid)
 
-    names = ["n%d" % n for n in range(len(labels))]
-    states = []
-    for n, label in enumerate(labels):
-        s = game.state(label.state)
-        states.append(State(names[n], s.owner, leaf_color.get(n, s.color)))
-    transitions = []
-    origin: Dict[str, Optional[str]] = {}
-    for i, (src, dst, op, orig) in enumerate(edges):
-        tid = "e%d" % i
-        transitions.append(Transition(tid, names[src], op, names[dst]))  # type: ignore[arg-type]
-        origin[tid] = orig
     out_game = IntegerGame(counters_out, tuple(states), tuple(transitions))
-    return OutGame(out_game, names[root], dict(zip(names, labels)), origin)
+    return OutGame(out_game, names[0], dict(zip(names, labels)), origin)
 
 
 class ParetoTable:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from vassgames import cli, formats
-from vassgames.energy import pareto_energy
+from vassgames.energy import pareto_energy, solve_abstract_energy_parity
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 G1 = os.path.join(DATA, "g1.game")
@@ -36,15 +36,34 @@ class TestPareto:
 
 
 class TestExitCodes:
-    def test_deadlock_is_an_error_without_repair(self, capsys):
-        code, _, err = run_cli(capsys, "solve-abstract", G2)
+    def test_deadlock_is_an_error_without_repair(self, capsys, tmp_path):
+        p = tmp_path / "drain.game"
+        p.write_text("counters c\nstate q0 owner=0 color=2\ntrans t1: q0 dec(c) q0\n")
+        code, _, err = run_cli(capsys, "pareto", str(p))
         assert code == 2
         assert "complete-sinks" in err
 
-    def test_deadlock_repaired_with_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "solve-abstract", G2, "--complete-sinks")
-        assert code == 0
-        assert out == "q0: player1\n__sink1: player0\n"
+    def test_deadlock_repaired_with_flag(self, capsys, tmp_path):
+        # q0 can only decrement: at c=0 the repair's losing escape is its move
+        p = tmp_path / "swing.game"
+        p.write_text(
+            "counters c\n"
+            "state q0 owner=0 color=2\n"
+            "state q1 owner=0 color=2\n"
+            "trans t1: q0 dec(c) q1\n"
+            "trans t2: q1 inc(c) q0\n"
+        )
+        for config, verdict in (("q0 c=1", "player0"), ("q0 c=0", "player1")):
+            code, out, _ = run_cli(capsys, "check", str(p), "--config", config, "--complete-sinks")
+            assert code == 0 and out == verdict + "\n"
+        code, _, err = run_cli(capsys, "check", str(p), "--config", "q0 c=1")
+        assert code == 2 and "complete-sinks" in err
+
+    def test_abstract_solve_reads_game_as_written(self, capsys):
+        # energy semantics never disables a move, so g2's dec-only q0 needs
+        # no repair; it used to exit 2 asking for --complete-sinks
+        code, out, _ = run_cli(capsys, "solve-abstract", G2)
+        assert code == 0 and out == "q0: player1\n"
 
     def test_repair_ids_fresh_against_input(self, capsys, tmp_path):
         # q1 can only decrement, so its escape would be '__stuck0', the id of
@@ -78,7 +97,7 @@ class TestExitCodes:
     )
     def test_energy_game_needs_no_deadlock_repair(self, capsys, tmp_path, body):
         # no energy move is ever disabled, and the embedding adds its own
-        # escapes, so pareto-energy loads the game as it is
+        # escapes, so pareto-energy and solve-abstract load the game as it is
         p = tmp_path / "energy.game"
         p.write_text("counters c\n" + body)
         game, _ = formats.parse_game(p.read_text())
@@ -87,6 +106,9 @@ class TestExitCodes:
         assert code == 0 and out.splitlines() == formats.format_frontier(game, expected)
         code, out, _ = run_cli(capsys, "pareto-energy", str(p), "--format", "json")
         assert code == 0 and json.loads(out)["frontier"] == formats.frontier_json(game, expected)
+        verdicts = solve_abstract_energy_parity(game)
+        code, out, _ = run_cli(capsys, "solve-abstract", str(p))
+        assert code == 0 and out.splitlines() == ["%s: player%d" % (q, verdicts[q]) for q in game.state_names()]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve-abstract", os.path.join(DATA, "nope.game"))
@@ -123,6 +145,7 @@ class TestExitCodes:
             ["oracle", G1, "--config", "q0 c=1", "--node-budget", "5"],
             ["oracle", G1, "--config", "q0 c=1", "--complete-sinks"],
             ["pareto-energy", G1, "--complete-sinks"],
+            ["solve-abstract", G1, "--complete-sinks"],
             ["generate", "--seed", "7", "--format", "json"],
             ["generate", "--seed", "7", "--time-budget-ms", "100"],
             ["solve-abstract", G1, "--node-budget", "1"],
@@ -319,6 +342,11 @@ class TestFormats:
             formats.parse_config(game, "q0 d=1")
         with pytest.raises(ValueError):
             formats.parse_config(game, "q0 c=1 c=0")
+        # a value that is not a count is named like an unknown counter
+        with pytest.raises(ValueError, match="bad counter assignment 'c=x'"):
+            formats.parse_config(game, "q0 c=x")
+        with pytest.raises(ValueError, match="bad counter assignment 'c='"):
+            formats.parse_config(game, "q0 c=")
 
 
 class TestFrontEnds:
