@@ -26,14 +26,7 @@ from .semantics import ENERGY, VASS, vass_step
 from .parity import FiniteParityGame, solve_parity
 from .bounded import OVERFLOW_WINS_P0, SATURATE, UNKNOWN, WIN0, WIN1, bracket_decide, solve_capped
 from .energy import energy_to_single_sided, pareto_energy, solve_abstract_energy_parity
-from .solver import (
-    OutGame,
-    ParetoTable,
-    build_out_game,
-    covered_by,
-    pareto_single_sided_vass,
-    vj_minimize,
-)
+from .solver import OutGame, ParetoTable, build_out_game, pareto_single_sided_vass, vj_minimize
 from .applications import (
     FiniteLTS,
     check_weaksim,

@@ -150,9 +150,7 @@ def check_weaksim(
     root = root_of(s0, q0)
     game = restrict_reachable(game, [root])
     table = ParetoTable(game, budget)
-    return table.membership(
-        PartialConfig.make(root, dict(theta)), frozenset(vass.counters)
-    )
+    return table.membership(PartialConfig.make(root, dict(theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +236,9 @@ def parse_formula(text: str) -> Formula:
 
     Grammar (loosest first): mu X . f | nu X . f | f \\/ f | f /\\ f |
     <> f | P1 /\\ [] f | ( f ) | identifier.  Identifiers bound by an
-    enclosing fixpoint are variables, other identifiers are state atoms."""
+    enclosing fixpoint are variables, other identifiers are state atoms.
+    Binders keep their written names, so two fixpoints may bind the same
+    variable; mucalc_game renames them apart."""
     toks = _tokenize(text)
     pos = [0]
 
@@ -316,7 +316,7 @@ def parse_formula(text: str) -> Formula:
     f = expr(frozenset())
     if pos[0] != len(toks):
         raise ValueError("trailing tokens: %s" % " ".join(toks[pos[0]:]))
-    return _rename_apart(f)
+    return f
 
 
 def _kids(f: Formula) -> Tuple[Formula, ...]:
@@ -332,10 +332,13 @@ def _kids(f: Formula) -> Tuple[Formula, ...]:
 
 
 def _rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Optional[Dict[str, str]] = None) -> Formula:
-    """Make bound variable names unique so each variable has one binder."""
+    """Make bound variable names unique so each variable has one binder;
+    the first binder of each name keeps it, so renaming twice is renaming once."""
     used = used if used is not None else set()
     env = env or {}
     if isinstance(f, Var):
+        if f.name not in env and f.name in env.values():  # free, and a renamed binder took its name
+            raise ValueError("formula must be closed: free %s" % [f.name])
         return Var(env.get(f.name, f.name))
     if isinstance(f, (Mu, Nu)):
         fresh = f.var
@@ -347,13 +350,6 @@ def _rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Optional[Dic
         return type(f)(fresh, _rename_apart(f.body, used, {**env, f.var: fresh}))
     kids = tuple(_rename_apart(g, used, env) for g in _kids(f))
     return type(f)(*kids) if kids else f
-
-
-def free_vars(f: Formula) -> FrozenSet[str]:
-    if isinstance(f, Var):
-        return frozenset([f.name])
-    out = frozenset().union(*map(free_vars, _kids(f)))
-    return out - {f.var} if isinstance(f, (Mu, Nu)) else out
 
 
 def subformulas(f: Formula) -> List[Formula]:
@@ -375,8 +371,10 @@ def subformulas(f: Formula) -> List[Formula]:
 def _alternation_depths(f: Formula) -> Dict[int, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]]:
     """Per subformula node of f, by identity: its alternation depth, its
     free variables and the deepest fixpoint of each (kind, free variable)
-    inside it.  One bottom-up walk visits each node once; a fixpoint reads
-    its dependents off its body's table."""
+    inside it.  The depth is Niwinski's, of dependent fixpoints: a fixpoint
+    lies one above every opposite fixpoint inside it with its variable
+    free.  One bottom-up walk visits each node once; a fixpoint reads its
+    dependents off its body's table."""
     memo: Dict[int, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]] = {}
 
     def walk(g: Formula) -> None:
@@ -400,12 +398,6 @@ def _alternation_depths(f: Formula) -> Dict[int, Tuple[int, FrozenSet[str], Dict
     return memo
 
 
-def alternation_depth(f: Formula) -> int:
-    """Niwinski-style alternation depth of dependent fixpoints: a fixpoint
-    lies one above every opposite fixpoint inside it with its variable free."""
-    return _alternation_depths(f)[id(f)][0]
-
-
 def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[[str], str]]:
     """Product of a single-sided VASS (owners give the Q0/Q1 partition) with
     a closed guarded formula.  Player 1 owns conjunctions and guarded boxes;
@@ -414,10 +406,11 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
     else is color 0.  State <q, g> is named q#i for the position i of g in
     subformulas(phi); the states come in VASS-state-major order.  Returns
     the game and the map q -> product root <q, phi>."""
-    if free_vars(phi):
-        raise ValueError("formula must be closed: free %s" % sorted(free_vars(phi)))
     # the binder map below needs one binder per variable name
     phi = _rename_apart(phi)
+    depths = _alternation_depths(phi)
+    if depths[id(phi)][1]:
+        raise ValueError("formula must be closed: free %s" % sorted(depths[id(phi)][1]))
     if not is_single_sided(vass):
         raise ValueError("mu-calculus product needs a single-sided VASS")
     bad = check_deadlock_free(vass)
@@ -430,7 +423,6 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
     binder = {g.var: g for g in subs if isinstance(g, (Mu, Nu))}
     # a fixpoint's color is its alternation depth, raised to the next odd
     # number for mu and the next even one for nu
-    depths = _alternation_depths(phi)
     color: Dict[Formula, int] = {}
     for g in binder.values():
         d = depths[id(g)][0]
@@ -484,9 +476,7 @@ def model_check(
     root = root_of(gamma0.state)
     game = restrict_reachable(game, [root])
     table = ParetoTable(game, budget)
-    return table.membership(
-        PartialConfig(root, gamma0.items), frozenset(vass.counters)
-    )
+    return table.membership(PartialConfig(root, gamma0.items))
 
 
 def global_model_check(

@@ -198,7 +198,7 @@ def run(args: argparse.Namespace) -> int:
         game, _ = _load_game(args.game, args)
         gamma = formats.parse_config(game, args.config)
         table = ParetoTable(game, budget)
-        win = table.membership(gamma, gamma.dom)
+        win = table.membership(gamma)
         _emit(args, {"command": cmd, "verdict": "player0" if win else "player1"},
               ["player0" if win else "player1"])
         return EXIT_OK

@@ -92,6 +92,8 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
                 counters = tuple(parts[1:])
                 saw_counters = True
             elif kind == "state":
+                if len(parts) < 2:
+                    raise ValueError("expected 'state <name> [owner=<0|1>] [color=<n>]'")
                 name = parts[1]
                 attrs = _attributes(parts[2:])
                 owner, color = (_integer(k, attrs.pop(k, "0")) for k in ("owner", "color"))
@@ -99,8 +101,8 @@ def parse_game(text: str) -> Tuple[IntegerGame, Dict[str, str]]:
                     raise ValueError("unknown state attributes %s" % sorted(attrs))
                 states.append(State(name, owner, color))
             elif kind == "trans":
-                if not parts[1].endswith(":"):
-                    raise ValueError("expected 'trans <id>:'")
+                if len(parts) < 5 or not parts[1].endswith(":"):
+                    raise ValueError("expected 'trans <id>: <source> <op> <target> [label=<a>]'")
                 tid = parts[1][:-1]
                 source, opspec, target = parts[2], parts[3], parts[4]
                 attrs = _attributes(parts[5:])

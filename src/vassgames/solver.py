@@ -66,13 +66,6 @@ def _coverage(beta: Iterable[PartialConfig], C: FrozenSet[str]) -> Callable[[str
     return covered
 
 
-def covered_by(beta: Iterable[PartialConfig], gamma: PartialConfig) -> bool:
-    """Coverability of a label against the union of the smaller frontiers:
-    for every tracked counter c, dropping c from gamma must land above some
-    element of beta (matching state and domain)."""
-    return _coverage(beta, gamma.dom)(gamma.state, tuple(v for _, v in gamma.items))
-
-
 @dataclass
 class OutGame:
     """The finite unfolding used to decide one C-membership query."""
@@ -207,18 +200,19 @@ class ParetoTable:
                 beta.extend(ac)
         return beta
 
-    def membership(self, gamma: PartialConfig, C: FrozenSet[str]) -> bool:
-        """Does some C-instantiation of gamma lie in the Player-0 winning set
-        with tracked counters C?  (For upward closed sets this also equals
-        "gamma extends to a winning configuration".)  A full, nonempty domain
-        is decided by one cached out-game; any other reads the frontier over
-        gamma's domain, the abstract verdicts when that domain is empty."""
-        if not gamma.dom <= C:
-            raise ValueError("query domain must be inside the tracked set")
-        if gamma.dom != C or not C:
+    def membership(self, gamma: PartialConfig) -> bool:
+        """Does gamma lie in the Player-0 winning set with its own domain
+        tracked, that is, can Player 0 win from gamma with some credit on
+        the counters gamma leaves undefined?  An empty domain, or one whose
+        frontier is stored, is read off that frontier; any other domain is
+        decided by one cached out-game over it.  While frontier(C) runs,
+        every proper subset of C is stored and C is not, so its
+        Valk-Jantzen probes read the smaller frontiers and build out-games
+        only for corners over C."""
+        if not gamma.dom or gamma.dom in self._frontiers:
             return self.frontier(gamma.dom)[gamma.state].covers(gamma)
         if gamma not in self._query_cache:
-            out = build_out_game(self.game, gamma, self._beta(C), self.budget)
+            out = build_out_game(self.game, gamma, self._beta(gamma.dom), self.budget)
             self._query_cache[gamma] = solve_abstract_energy_parity(out.game, self.budget)[out.root] == 0
         return self._query_cache[gamma]
 
@@ -239,12 +233,7 @@ class ParetoTable:
             counters_order = tuple(c for c in self.game.counters if c in C)
             result = {}
             for q in self.game.state_names():
-                result[q] = vj_minimize(
-                    lambda g: self.membership(g, C),
-                    q,
-                    counters_order,
-                    self.budget,
-                )
+                result[q] = vj_minimize(self.membership, q, counters_order, self.budget)
         self._frontiers[C] = result
         return result
 

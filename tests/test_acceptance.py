@@ -201,13 +201,12 @@ def test_05_membership_upward_closed(monkeypatch):
         g = random_counter_game(rng, rng.randint(3, 5), 2, single_sided=True)
         built.clear()
         table = ParetoTable(g)
-        C = frozenset(g.counters)
         for _ in range(1000):
             q = rng.choice(g.state_names())
             lo = {c: rng.randint(0, 3) for c in g.counters}
             hi = {c: lo[c] + rng.randint(0, 2) for c in g.counters}
-            small = table.membership(PartialConfig.make(q, lo), C)
-            big = table.membership(PartialConfig.make(q, hi), C)
+            small = table.membership(PartialConfig.make(q, lo))
+            big = table.membership(PartialConfig.make(q, hi))
             assert big or not small
         COLLECTED_TABLES.append((g, table, list(built)))
 

@@ -30,10 +30,9 @@ from vassgames.applications import (
     Nu,
     Or,
     Var,
+    _alternation_depths,
     _rename_apart,
-    alternation_depth,
     check_weaksim,
-    free_vars,
     global_model_check,
     model_check,
     mucalc_game,
@@ -150,13 +149,20 @@ class TestParser:
                 parse_formula(text)
 
     def test_rename_apart(self):
+        # binders keep their written names; mucalc_game renames them apart
         f = parse_formula("(mu X . <> X) \\/ (nu X . <> X)")
-        assert isinstance(f, Or)
-        assert f.left.var != f.right.var
+        assert f == Or(Mu("X", Diamond(Var("X"))), Nu("X", Diamond(Var("X"))))
+        g = _rename_apart(f)
+        assert g == Or(Mu("X", Diamond(Var("X"))), Nu("X_1", Diamond(Var("X_1"))))
+        assert _rename_apart(g) == g
 
     def test_trailing_tokens_rejected(self):
         with pytest.raises(ValueError):
             parse_formula("a b")
+
+
+def alternation_depth(f):
+    return _alternation_depths(f)[id(f)][0]
 
 
 class TestAlternation:
@@ -189,6 +195,13 @@ class TestModelCheck:
         vass = IntegerGame((), (State("q0", 0, 0),), (Transition("t1", "q0", NOP_OP, "q0"),))
         with pytest.raises(ValueError):
             mucalc_game(vass, parse_formula("[] q0"))
+
+    def test_open_formula_rejected(self):
+        with pytest.raises(ValueError, match=r"must be closed: free \['Y'\]"):
+            mucalc_game(G1, Mu("X", Diamond(Var("Y"))))
+        # the second X is renamed X_1, which must not capture the free X_1
+        with pytest.raises(ValueError, match=r"must be closed: free \['X_1'\]"):
+            mucalc_game(G1, Or(Mu("X", Diamond(Var("X"))), Mu("X", Diamond(Var("X_1")))))
 
     def test_nu_diamond_true_on_loop(self):
         # always some move: holds everywhere under VASS semantics, even with
@@ -261,8 +274,9 @@ def test_products_and_walks_match_reference():
         vass = random_counter_game(rng, rng.randint(1, 4), rng.randint(0, 2), single_sided=True)
         phi = random_guarded_formula(rng, vass, depth=rng.randint(0, 4))
         for g in subformulas(phi):
-            assert free_vars(g) == reference_free_vars(g)
-            assert alternation_depth(g) == reference_alternation_depth(g)
+            depth, free, _ = _alternation_depths(g)[id(g)]
+            assert free == reference_free_vars(g)
+            assert depth == reference_alternation_depth(g)
             assert _rename_apart(g) == reference_rename_apart(g)
         assert subformulas(phi) == reference_subformulas(phi)
         game, root_of = mucalc_game(vass, phi)

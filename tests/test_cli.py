@@ -1,6 +1,7 @@
 """Command line front end: golden outputs, exit codes, file formats."""
 import json
 import os
+import re
 import time
 
 import pytest
@@ -333,6 +334,17 @@ class TestFormats:
     def test_bad_directive_rejected(self):
         with pytest.raises(ValueError):
             formats.parse_game("flooble q0\n")
+
+    @pytest.mark.parametrize("line, needs", [
+        ("state", "'state <name> [owner=<0|1>] [color=<n>]'"),
+        ("trans t1:", "'trans <id>: <source> <op> <target> [label=<a>]'"),
+        ("trans t1: q0", "'trans <id>: <source> <op> <target> [label=<a>]'"),
+        ("trans t1: q0 nop", "'trans <id>: <source> <op> <target> [label=<a>]'"),
+    ])
+    def test_directive_missing_field_rejected(self, line, needs):
+        # these used to fail with "list index out of range"
+        with pytest.raises(ValueError, match=re.escape("line 2: expected " + needs)):
+            formats.parse_game("counters c\n%s\n" % line)
 
     def test_config_errors(self):
         game, _ = formats.parse_game("counters c\nstate q0\ntrans t1: q0 nop q0\n")

@@ -31,8 +31,8 @@ from vassgames.semantics import VASS, vass_step
 from vassgames.solver import (
     OutGame,
     ParetoTable,
+    _coverage,
     build_out_game,
-    covered_by,
     pareto_single_sided_vass,
     vj_minimize,
 )
@@ -51,6 +51,10 @@ G1 = IntegerGame(
 
 def pc(state, **vals):
     return PartialConfig.make(state, vals)
+
+
+def covered_by(beta, gamma):
+    return _coverage(beta, gamma.dom)(gamma.state, tuple(v for _, v in gamma.items))
 
 
 class TestCoveredBy:
@@ -342,32 +346,61 @@ class TestPareto:
             pareto_single_sided_vass(bad, {"c"})
 
     def test_membership_consistent_with_frontier(self):
+        # a fresh table, so the queries build their out-games instead of
+        # reading the stored frontier back
+        fr = ParetoTable(G1).frontier(frozenset({"c"}))
         table = ParetoTable(G1)
-        fr = table.frontier(frozenset({"c"}))
         for q in G1.state_names():
             for v in range(4):
                 gamma = pc(q, c=v)
-                assert table.membership(gamma, frozenset({"c"})) == fr[q].covers(gamma)
+                assert table.membership(gamma) == fr[q].covers(gamma)
+
+    def test_stored_frontier_answers_without_out_game(self, monkeypatch):
+        built = record_out_games(monkeypatch)
+        rng = random.Random(4242)
+        for g in [G1] + [random_counter_game(rng, rng.randint(2, 4), rng.randint(1, 2), single_sided=True)
+                         for _ in range(10)]:
+            table = ParetoTable(g)
+            fr = table.frontier(frozenset(g.counters))
+            built.clear()
+            for q in g.state_names():
+                for vals in itertools.product(range(4), repeat=len(g.counters)):
+                    gamma = PartialConfig.make(q, dict(zip(g.counters, vals)))
+                    assert table.membership(gamma) == fr[q].covers(gamma)
+            assert not built
+
+    def test_partial_domain_membership_before_any_frontier(self, monkeypatch):
+        built = record_out_games(monkeypatch)
+        rng = random.Random(909)
+        for _ in range(20):
+            g = random_counter_game(rng, rng.randint(2, 4), 2, single_sided=True)
+            fr = ParetoTable(g).frontier(frozenset({"c1"}))
+            table = ParetoTable(g)
+            built.clear()
+            for q in g.state_names():
+                for v in range(4):
+                    gamma = pc(q, c1=v)
+                    assert table.membership(gamma) == fr[q].covers(gamma)
+            # answered by out-games over {c1}, with c2 left untracked
+            assert built and all(out.game.counters == ("c2",) for out in built)
 
     def test_sub_domain_membership_lookup(self):
-        # Lemma 6 style: an abstract query against C={c} falls back to the
-        # abstract frontier
+        # Lemma 6 style: an abstract query reads the abstract frontier
         table = ParetoTable(G1)
-        assert table.membership(pc("q0"), frozenset({"c"}))
-        assert not table.membership(pc("q2"), frozenset({"c"}))
+        assert table.membership(pc("q0"))
+        assert not table.membership(pc("q2"))
 
     def test_membership_upward_closed_random(self):
         rng = random.Random(2024)
         for _ in range(6):
             g = random_counter_game(rng, rng.randint(2, 4), rng.randint(1, 2), single_sided=True)
             table = ParetoTable(g)
-            C = frozenset(g.counters)
             for _ in range(60):
                 q = rng.choice(g.state_names())
                 lo = {c: rng.randint(0, 2) for c in g.counters}
                 hi = {c: lo[c] + rng.randint(0, 2) for c in g.counters}
-                a = table.membership(PartialConfig.make(q, lo), C)
-                b = table.membership(PartialConfig.make(q, hi), C)
+                a = table.membership(PartialConfig.make(q, lo))
+                b = table.membership(PartialConfig.make(q, hi))
                 if a:
                     assert b
 
