@@ -10,20 +10,23 @@ grid and bracket the unbounded verdict between two cap treatments.
   so a Player-1 win at any cap is sound.  An energy underflow ends in an odd
   sink in both modes.
 
-solve_capped builds only the part of the grid reachable from the given root
+capped_grid builds only the part of the grid reachable from the given root
 configurations.  Vertex 0 is the overflow sink and 1 the underflow sink, the
 roots follow in the given order, then every other configuration in the order
 a forward search over game.moves discovers it, and the stuck sinks come
 last.  The explored set is closed under moves, so every play from a root
 stays inside it: the game it induces is a subgame of the whole capped grid
 that neither player can leave, and each explored configuration has the same
-winner in both.
+winner in both.  solve_capped solves that game for the oracle; the abstract
+energy parity solver (energy.py) builds the same saturated grids under
+energy semantics and reads both players' winning regions and Player 1's
+strategy off them.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .core import IntegerGame, PartialConfig, is_single_sided
+from .core import Budget, IntegerGame, PartialConfig, is_single_sided
 from .parity import FiniteParityGame, solve_parity
 from .semantics import ENERGY, VASS
 
@@ -35,31 +38,24 @@ WIN1 = "win1"
 UNKNOWN = "unknown"
 
 
-def solve_capped(
+def capped_grid(
     game: IntegerGame,
     semantics: str,
     cap: int,
     mode: str,
     roots: Tuple[Tuple[str, Tuple[int, ...]], ...],
-) -> Dict[Tuple[str, Tuple[int, ...]], int]:
-    """Winner (0 or 1) of every configuration with all values in [0, cap]
-    that some play from roots can reach.
-
-    Configurations, roots included, are keyed by (state name, value vector
-    in game.counters order).  A side with no enabled move loses.
-
-    The grid is explored forward from the roots over game.moves and solved
-    as a FiniteParityGame: vertex 0 is the overflow sink and 1 the
-    underflow sink, then come the roots in the given order, then the other
-    configurations in the order they are discovered, and the sinks of stuck
-    configurations last.  The explored set is closed under moves, so every
-    play from a root stays inside it and the winners are those of the whole
-    grid.  Given every configuration as a root, states in declaration order
-    and vectors in rank order, state index s at vector vec is vertex
-    2 + s*(cap+1)**k + rank(vec), where rank reads vec as a base-(cap+1)
-    number with the last counter fastest; that is also how configurations
-    are keyed while the grid is explored.
-    """
+    budget: Optional[Budget] = None,
+    layer: str = "capped bracket oracle",
+) -> Tuple[FiniteParityGame, List[Tuple[int, Tuple[int, ...]]]]:
+    """The part of the cap-limited grid that some play from roots can reach,
+    numbered as the module docstring says, and its configurations as (state
+    index, value vector in game.counters order): configuration i is vertex
+    i + 2.  Roots are (state name, value vector) pairs with all values in
+    [0, cap]; a side with no enabled move loses.  Under energy semantics no
+    move is disabled and, with SATURATE, none overflows, so each
+    configuration's successors are its state's moves one for one.  The
+    deadline of budget, if given, is checked on entry and every 64 explored
+    configurations, naming layer."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if mode not in (SATURATE, OVERFLOW_WINS_P0):
@@ -73,9 +69,9 @@ def solve_capped(
     size = (cap + 1) ** k
     stride = [(cap + 1) ** (k - 1 - c) for c in range(k)]
     index = {s.name: i for i, s in enumerate(game.states)}
-    # explored configurations as (state index, rank(vec), vec), numbered
-    # from 2 and keyed by s*size + rank(vec)
-    configs: List[Tuple[int, int, Tuple[int, ...]]] = []
+    # explored configurations, numbered from 2 and keyed by s*size + rank(vec)
+    configs: List[Tuple[int, Tuple[int, ...]]] = []
+    ranks: List[int] = []
     number: Dict[int, int] = {}
     for name, vec in roots:
         if name not in index or len(vec) != k or not all(0 <= v <= cap for v in vec):
@@ -84,7 +80,8 @@ def solve_capped(
         pos = index[name] * size + rank
         if pos not in number:
             number[pos] = len(configs) + 2
-            configs.append((index[name], rank, tuple(vec)))
+            configs.append((index[name], tuple(vec)))
+            ranks.append(rank)
     # overflow wins for Player 0, underflow loses
     vertices = [(0, 0), (0, 1)]
     succ: List[Tuple[int, ...]] = [(0,), (1,)]
@@ -92,7 +89,10 @@ def solve_capped(
     stuck: List[int] = []  # configurations with no enabled move
     moves = game.moves
     labels = [(st.owner, st.color) for st in game.states]
-    for s, rank, vec in configs:  # grows while it is read
+    for i, (s, vec) in enumerate(configs):  # grows while it is read
+        if budget is not None and not i % 64:
+            budget.check_time(layer)
+        rank = ranks[i]
         out = []
         for dst, c, delta in moves[s]:
             nrank = rank
@@ -116,7 +116,8 @@ def solve_capped(
             w = number.get(pos)
             if w is None:
                 w = number[pos] = len(configs) + 2
-                configs.append((dst, nrank, nvec))
+                configs.append((dst, nvec))
+                ranks.append(nrank)
             out.append(w)
         vertices.append(labels[s])
         if not out:
@@ -129,10 +130,31 @@ def solve_capped(
     for owner in stuck_sink:
         vertices.append((0, 1 if owner == 0 else 0))
         succ.append((len(succ),))
+    return FiniteParityGame(tuple(vertices), tuple(succ)), configs
 
-    w0, _, _, _ = solve_parity(FiniteParityGame(tuple(vertices), tuple(succ)))
+
+def solve_capped(
+    game: IntegerGame,
+    semantics: str,
+    cap: int,
+    mode: str,
+    roots: Tuple[Tuple[str, Tuple[int, ...]], ...],
+    budget: Optional[Budget] = None,
+) -> Dict[Tuple[str, Tuple[int, ...]], int]:
+    """Winner (0 or 1) of every configuration of capped_grid(game, semantics,
+    cap, mode, roots), keyed by (state name, value vector in game.counters
+    order); they are the winners of the whole grid.
+
+    Given every configuration as a root, states in declaration order and
+    vectors in rank order, state index s at vector vec is vertex 2 +
+    s*(cap+1)**k + rank(vec), where rank reads vec as a base-(cap+1) number
+    with the last counter fastest; that is also how configurations are keyed
+    while the grid is explored.
+    """
+    grid, configs = capped_grid(game, semantics, cap, mode, roots, budget)
+    w0, _, _, _ = solve_parity(grid)
     names = game.state_names()
-    return {(names[s], vec): 0 if v in w0 else 1 for v, (s, _, vec) in enumerate(configs, 2)}
+    return {(names[s], vec): 0 if v in w0 else 1 for v, (s, vec) in enumerate(configs, 2)}
 
 
 def bracket_decide(
@@ -140,12 +162,15 @@ def bracket_decide(
     semantics: str,
     gamma: PartialConfig,
     max_cap: int = 64,
+    budget: Optional[Budget] = None,
 ) -> str:
     """Decide the winner at a concrete configuration by doubling caps.
 
     Returns "win0" when the saturating cap game is won by Player 0 (sound),
     "win1" when the overflow-favors-Player-0 cap game is won by Player 1
-    (sound), and "unknown" when neither happens up to max_cap."""
+    (sound), and "unknown" when neither happens up to max_cap.  The grids
+    check the deadline of budget, if given, and raise BudgetExceeded naming
+    the capped bracket oracle once it passes."""
     if gamma.dom != frozenset(game.counters):
         raise ValueError("bracket_decide needs a concrete configuration")
     vec = tuple(gamma.valuation[c] for c in game.counters)
@@ -158,9 +183,9 @@ def bracket_decide(
     while True:
         cap = min(cap, max_cap)
         if saturate_ok:
-            if solve_capped(game, semantics, cap, SATURATE, roots)[root] == 0:
+            if solve_capped(game, semantics, cap, SATURATE, roots, budget=budget)[root] == 0:
                 return WIN0
-        if solve_capped(game, semantics, cap, OVERFLOW_WINS_P0, roots)[root] == 1:
+        if solve_capped(game, semantics, cap, OVERFLOW_WINS_P0, roots, budget=budget)[root] == 1:
             return WIN1
         if cap >= max_cap:
             return UNKNOWN

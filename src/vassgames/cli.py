@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--cap", type=_nonnegative_int, default=64, help="largest cap tried")
     p.add_argument("--semantics", choices=[ENERGY, VASS], default=VASS)
-    _add_common(p, nodes=False, deadline=False, sinks=False)
+    _add_common(p, nodes=False, sinks=False)
 
     p = sub.add_parser("generate", help="emit a deterministic random game file")
     p.add_argument("--seed", type=int, required=True)
@@ -166,15 +166,15 @@ def run(args: argparse.Namespace) -> int:
         sys.stdout.write(formats.print_game(game, labels))
         return EXIT_OK
 
+    budget = _budget(args)
+
     if cmd == "oracle":
         game, _ = _load_game(args.game, args)
         gamma = formats.parse_config(game, args.config)
-        verdict = bracket_decide(game, args.semantics, gamma, max_cap=args.cap)
+        verdict = bracket_decide(game, args.semantics, gamma, max_cap=args.cap, budget=budget)
         label = {"win0": "Win0", "win1": "Win1", "unknown": "Unknown"}[verdict]
         _emit(args, {"command": cmd, "verdict": label}, [label])
         return EXIT_UNKNOWN if verdict == UNKNOWN else EXIT_OK
-
-    budget = _budget(args)
 
     if cmd == "solve-abstract":
         game, _ = _load_game(args.game, args)

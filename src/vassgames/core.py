@@ -25,9 +25,12 @@ class BudgetExceeded(RuntimeError):
 @dataclass
 class Budget:
     """Resource limits shared by the solvers.  node_budget caps the nodes of
-    one out-game; strategy_budget caps the Player-1 strategies one abstract
-    energy parity solve enumerates; deadline is a time.monotonic() instant,
-    and None disables the time check, which names the layer it stops."""
+    one out-game, and the abstract energy parity solver builds no
+    certificate grid of more configurations; strategy_budget caps the
+    Player-1 strategies one abstract solve enumerates, which it does only
+    for small strategy products or when the certificates leave a state
+    open; deadline is a time.monotonic() instant, and None disables the time
+    check, which names the layer it stops."""
 
     node_budget: int = 100000
     strategy_budget: int = 200000

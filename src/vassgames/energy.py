@@ -2,12 +2,31 @@
 
 The abstract question asks, per state, whether Player 0 wins the parity
 objective while keeping every counter nonnegative for *some* initial credit.
-Player 1 has positional optimal strategies for this objective, so the solver
-enumerates Player-1 positional strategies and analyses each induced
-one-player graph: Player 0 wins from a state iff it can reach a vertex v of
-even color d that lies on a closed walk with componentwise nonnegative effect
-inside the subgraph of colors <= d.  Such a walk stays inside one strongly
-connected component, so each component's inner edges are tested once.
+Player 1 has positional optimal strategies for this objective (Chatterjee &
+Doyen, "Energy parity games", TCS 2012), so fixing any positional Player-1
+strategy sigma leaves a one-player graph: Player 0 wins from a state iff it
+can reach a vertex v of even color d that lies on a closed walk with
+componentwise nonnegative effect inside the subgraph of colors <= d.  Such a
+walk stays inside one strongly connected component, so each component's
+inner edges are tested once.
+
+Two certificates decide most states without enumerating strategies.  For
+caps K = 1, 2, 4, ..., MAX_CAP, bounded.capped_grid builds the saturated
+grid (increments clamp at K) under energy semantics from the roots (q, K,
+..., K), and Zielonka's algorithm solves it:
+* Player 0 wins at q if (q, K, ..., K) is a grid win.  Saturation only ever
+  lowers a counter, so the same strategy wins the real game with credit K.
+* Player 1 wins at q if q loses the one-player test under a positional
+  sigma: by playing sigma, Player 1 then beats every Player-0 strategy from
+  every credit, whatever sigma is.  sigma plays, at each Player-1 state,
+  Zielonka's choice at the grid configuration of largest value sum that
+  Player 1 wins there, and the first move where it wins none.
+A state in both sets would be a bug.  The first cap whose two sets cover
+every state decides; if none does before MAX_CAP or before a grid could
+pass Budget.node_budget, the solver enumerates every positional Player-1
+strategy and keeps the states where Player 0 wins under all of them, which
+is complete.  A game with at most ENUMERATION_LIMIT such strategies is
+enumerated at once, since that is cheaper than building grids.
 
 For one counter, a Bellman-Ford longest-path pass from all vertices at 0
 either still improves after |V| rounds, and then a positive cycle exists and
@@ -37,9 +56,11 @@ that counters at 0 can leave without a move.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import _simplex
+from .bounded import SATURATE, capped_grid
 from .core import (
     Budget,
     BudgetExceeded,
@@ -52,9 +73,16 @@ from .core import (
     fresh,
 )
 from .parity import FiniteParityGame, solve_parity
+from .semantics import ENERGY
+
+ABSTRACT = "abstract energy parity solver"  # the layer budgets name
+ENUMERATION_LIMIT = 64  # Player-1 strategy products up to this skip the certificates
+MAX_CAP = 32  # the largest certificate cap
+
+Edge = Tuple[int, int, Tuple[int, ...]]  # (source, target, effect vector)
 
 
-def _inner_edges(edges: List[Tuple[int, int, Tuple[int, ...]]], ids: Sequence[int]) -> List[List[int]]:
+def _inner_edges(edges: List[Edge], ids: Sequence[int]) -> List[List[int]]:
     """The edges among ids that lie inside a strongly connected component of
     the graph they form, grouped by component, each group in ids order.
     Iterative Tarjan over the vertices those edges touch."""
@@ -102,7 +130,7 @@ def _inner_edges(edges: List[Tuple[int, int, Tuple[int, ...]]], ids: Sequence[in
     return list(groups.values())
 
 
-def _good_1d(ids: List[int], edges: List[Tuple[int, int, Tuple[int, ...]]]) -> Set[int]:
+def _good_1d(ids: List[int], edges: List[Edge]) -> Set[int]:
     """Vertices of one strongly connected group of one-counter edges that lie
     on a closed walk with nonnegative effect (see the module docstring)."""
     scalar = [(edges[i][0], edges[i][1], edges[i][2][0]) for i in ids]
@@ -121,7 +149,7 @@ def _good_1d(ids: List[int], edges: List[Tuple[int, int, Tuple[int, ...]]]) -> S
     return {edges[i][0] for group in _inner_edges(edges, tight) for i in group}
 
 
-def _good_multi(ids: List[int], edges: List[Tuple[int, int, Tuple[int, ...]]], dims: int) -> Set[int]:
+def _good_multi(ids: List[int], edges: List[Edge], dims: int) -> Set[int]:
     """Vertices of one strongly connected group of multi-counter edges that
     lie on a closed walk with componentwise nonnegative effect, by support
     pruning over a worklist of groups (see the module docstring)."""
@@ -145,7 +173,7 @@ def _good_multi(ids: List[int], edges: List[Tuple[int, int, Tuple[int, ...]]], d
 def _one_player_win_set(
     n: int,
     colors: Sequence[int],
-    edges: List[Tuple[int, int, Tuple[int, ...]]],
+    edges: List[Edge],
     dims: int,
 ) -> Set[int]:
     """States from which the single remaining player (Player 0) wins the
@@ -179,6 +207,84 @@ def _one_player_win_set(
     return win
 
 
+def _edges(game: IntegerGame) -> Tuple[List[Edge], List[List[Edge]]]:
+    """The moves of a game with counters as (source, target, effect vector)
+    edges: those no Player-1 choice affects, and the choices of each
+    branching Player-1 state in moves order."""
+    dims = len(game.counters)
+    zero = (0,) * dims
+    # effect[c][delta + 1] is the effect vector of a move changing counter c
+    # by delta; a move on no counter (c = -1) reads the all-zero last row
+    effect = [[zero[:c] + (d,) + zero[c + 1:] for d in (-1, 0, 1)] for c in range(dims)] + [[zero] * 3]
+    fixed_edges: List[Edge] = []
+    p1_choices: List[List[Edge]] = []
+    for v, (s, ms) in enumerate(zip(game.states, game.moves)):
+        es = [(v, dst, effect[c][delta + 1]) for dst, c, delta in ms]
+        if s.owner == 1 and len(es) > 1:
+            p1_choices.append(es)
+        else:
+            fixed_edges.extend(es)
+    return fixed_edges, p1_choices
+
+
+def _certify(game: IntegerGame, budget: Budget) -> Optional[Set[int]]:
+    """Player 0's abstract winning states when the capped-grid certificates
+    (see the module docstring) decide every state at some cap 1, 2, 4, ...,
+    MAX_CAP whose grid fits in budget.node_budget; None otherwise."""
+    fixed_edges, p1_choices = _edges(game)
+    n, k = len(game.states), len(game.counters)
+    colors = [s.color for s in game.states]
+    cap = 1
+    while cap <= MAX_CAP and n * (cap + 1) ** k <= budget.node_budget:
+        roots = tuple((q, (cap,) * k) for q in game.state_names())
+        grid, configs = capped_grid(game, ENERGY, cap, SATURATE, roots, budget, ABSTRACT)
+        w0, _, _, s1 = solve_parity(grid)
+        top: Dict[int, Tuple[int, int]] = {}  # state -> (value sum, vertex) of its largest Player-1 win
+        for v, (s, vec) in enumerate(configs, 2):
+            if v in s1 and sum(vec) > top.get(s, (-1, 0))[0]:
+                top[s] = (sum(vec), v)
+        sigma = []
+        for es in p1_choices:
+            if es[0][0] in top:
+                v = top[es[0][0]][1]
+                sigma.append(es[grid.succ[v].index(s1[v])])
+            else:
+                sigma.append(es[0])  # Player 1 wins no configuration of this state
+        win0 = {q for q in range(n) if q + 2 in w0}
+        win1 = set(range(n)) - _one_player_win_set(n, colors, fixed_edges + sigma, k)
+        if win0 & win1:
+            raise AssertionError("capped-grid certificates contradict each other at cap %d" % cap)
+        if len(win0) + len(win1) == n:
+            return win0
+        cap *= 2
+    return None
+
+
+def _enumerate(game: IntegerGame, budget: Budget) -> Set[int]:
+    """Player 0's abstract winning states, by the one-player test under every
+    positional Player-1 strategy: the states no strategy makes Player 0 lose.
+
+    Stops as soon as no state is left winning for Player 0; raises
+    BudgetExceeded once more than budget.strategy_budget strategies have been
+    enumerated, or when the deadline passes."""
+    fixed_edges, p1_choices = _edges(game)
+    n = len(game.states)
+    colors = [s.color for s in game.states]
+    win = set(range(n))
+    ticks = 0
+    for combo in itertools.product(*p1_choices):
+        ticks += 1
+        if ticks > budget.strategy_budget:
+            raise BudgetExceeded(
+                "%s: strategy budget of %d Player-1 strategies exceeded" % (ABSTRACT, budget.strategy_budget)
+            )
+        budget.check_time(ABSTRACT)
+        win &= _one_player_win_set(n, colors, fixed_edges + list(combo), len(game.counters))
+        if not win:
+            break
+    return win
+
+
 def solve_abstract_energy_parity(
     game: IntegerGame,
     budget: Optional[Budget] = None,
@@ -187,10 +293,10 @@ def solve_abstract_energy_parity(
     for some sufficiently large initial credit.
 
     Requires every state to have a move, since energy semantics never
-    disables one; a state without moves is a ValueError.  Enumeration stops as
-    soon as no state is left winning for Player 0; it raises BudgetExceeded
-    once more than budget.strategy_budget Player-1 strategies have been
-    enumerated, or when the deadline passes."""
+    disables one; a state without moves is a ValueError.  Up to
+    ENUMERATION_LIMIT Player-1 strategies are enumerated at once; beyond it
+    the capped-grid certificates decide, and only a state they leave open
+    sends the game to the enumeration (see _enumerate for its budgets)."""
     budget = budget or Budget()
     moves = game.moves
     # energy semantics never disables a move, so only sinks are a problem
@@ -206,36 +312,11 @@ def solve_abstract_energy_parity(
         w0, _, _, _ = solve_parity(fg)
         return {s.name: (0 if v in w0 else 1) for v, s in enumerate(game.states)}
 
-    colors = [s.color for s in game.states]
-    dims = len(game.counters)
-    zero = (0,) * dims
-    # effect[c][delta + 1] is the effect vector of a move changing counter c
-    # by delta; a move on no counter (c = -1) reads the all-zero last row
-    effect = [[zero[:c] + (d,) + zero[c + 1:] for d in (-1, 0, 1)] for c in range(dims)] + [[zero] * 3]
-    fixed_edges = []
-    p1_choices: List[List[Tuple[int, int, Tuple[int, ...]]]] = []
-    for v, (s, ms) in enumerate(zip(game.states, moves)):
-        es = [(v, dst, effect[c][delta + 1]) for dst, c, delta in ms]
-        if s.owner == 1 and len(es) > 1:
-            p1_choices.append(es)
-        else:
-            fixed_edges.extend(es)
-
-    n = len(game.states)
-    win = set(range(n))
-    ticks = 0
-    for combo in itertools.product(*p1_choices):
-        ticks += 1
-        if ticks > budget.strategy_budget:
-            raise BudgetExceeded(
-                "abstract energy parity solver: strategy budget of %d Player-1 strategies exceeded"
-                % budget.strategy_budget
-            )
-        budget.check_time("abstract energy parity solver")
-        edges = fixed_edges + list(combo)
-        win &= _one_player_win_set(n, colors, edges, dims)
-        if not win:
-            break
+    win = None
+    if math.prod([len(ms) for s, ms in zip(game.states, moves) if s.owner == 1]) > ENUMERATION_LIMIT:
+        win = _certify(game, budget)
+    if win is None:
+        win = _enumerate(game, budget)
     return {s.name: (0 if v in win else 1) for v, s in enumerate(game.states)}
 
 

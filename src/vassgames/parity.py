@@ -2,7 +2,7 @@
 
 Vertices are the integers 0..n-1: vertices[v] is v's (owner, color) and
 succ[v] the tuple of its successors.  Callers number their vertices
-themselves (see bounded.solve_capped and IntegerGame.moves); winning sets
+themselves (see bounded.capped_grid and IntegerGame.moves); winning sets
 and strategies are given in the same numbers.
 
 Player 0 wins a play iff the highest color seen infinitely often is even.

@@ -7,7 +7,9 @@ import time
 import pytest
 
 from vassgames import cli, formats
-from vassgames.energy import pareto_energy, solve_abstract_energy_parity
+from vassgames.core import Budget, BudgetExceeded, PartialConfig
+from vassgames.energy import _enumerate, pareto_energy, solve_abstract_energy_parity
+from vassgames.solver import build_out_game
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 G1 = os.path.join(DATA, "g1.game")
@@ -155,7 +157,8 @@ class TestExitCodes:
                 cli.main(argv)
             assert exc.value.code == 2
         code, out, _ = run_cli(capsys, "oracle", G1, "--config", "q0 c=1", "--format", "json")
-        assert code == 0 and json.loads(out) == {"command": "oracle", "verdict": "Win0"}
+        assert code == 0 and json.loads(out) == {"command": "oracle", "verdict": "Win0",
+                                                 "budget": {"time_budget_ms": 0}}
         # the abstract solver applies only the deadline, and echoes only it
         code, out, _ = run_cli(capsys, "solve-abstract", G1, "--time-budget-ms", "5000", "--format", "json")
         assert code == 0 and json.loads(out)["budget"] == {"time_budget_ms": 5000}
@@ -175,26 +178,65 @@ class TestExitCodes:
             assert exc.value.code == 2
             assert "nonnegative" in capsys.readouterr().err
 
-    def test_deadline_stops_strategy_enumeration(self, capsys, tmp_path):
-        # over 200,000 Player-1 strategies, none of which empties Player 0's
-        # winning set early
-        p = tmp_path / "big.game"
-        p.write_text(formats.print_game(*formats.generate_game(0, 60, 1)))
+    def test_deadline_stops_strategy_enumeration(self):
+        # over 200,000 Player-1 strategies of this base game, none of which
+        # empties Player 0's winning set early; the capped-grid certificates
+        # decide it (test_stall_decided), so the enumerator is called directly
+        game, _ = formats.generate_game(0, 60, 1)
         t0 = time.monotonic()
-        code, _, err = run_cli(capsys, "pareto", str(p), "--time-budget-ms", "1000")
-        assert code == 3 and "time budget exceeded in abstract energy parity solver" in err
+        with pytest.raises(BudgetExceeded, match="time budget exceeded in abstract energy parity solver"):
+            _enumerate(game, Budget(deadline=t0 + 1.0))
         assert time.monotonic() - t0 < 5.0
 
-    def test_deadline_checked_on_every_strategy(self, capsys, tmp_path):
-        # a 20-state, 2-counter game whose Player-1 strategies each pose
-        # many cycle tests: a check every 256 strategies ran for over a
-        # minute past a 2 s deadline
-        p = tmp_path / "slow.game"
-        p.write_text(formats.print_game(*formats.generate_game(6, 20, 2)))
+    def test_deadline_checked_on_every_strategy(self):
+        # the first out-game of this 20-state, 2-counter game: 152 states and
+        # 41,472 Player-1 strategies, each posing a one-player test over all
+        # of them; a check every 256 strategies ran for over a minute past a
+        # 2 s deadline.  Every base state wins abstractly, so beta is every
+        # state with the empty domain
+        game, _ = formats.generate_game(6, 20, 2)
+        assert set(solve_abstract_energy_parity(game).values()) == {0}
+        beta = [PartialConfig.make(q) for q in game.state_names()]
+        out = build_out_game(game, PartialConfig.make("q0", {"c2": 0}), beta)
         t0 = time.monotonic()
-        code, _, err = run_cli(capsys, "pareto", str(p), "--time-budget-ms", "2000")
-        assert code == 3 and "time budget exceeded in abstract energy parity solver" in err
+        with pytest.raises(BudgetExceeded, match="time budget exceeded in abstract energy parity solver"):
+            _enumerate(out.game, Budget(deadline=t0 + 2.0))
         assert time.monotonic() - t0 < 3.5
+
+    @pytest.mark.parametrize("generate, command, deadline_ms", [
+        pytest.param(["--seed", "19", "--states", "5", "--counters", "2", "--general"], "pareto-energy", 15000,
+                     id="energy-seed19"),
+        pytest.param(["--seed", "0", "--states", "60", "--counters", "1"], "pareto", 1000, id="one-counter-seed0"),
+        pytest.param(["--seed", "3", "--states", "60", "--counters", "1"], "pareto", 10000, id="one-counter-seed3"),
+        pytest.param(["--seed", "13", "--states", "60", "--counters", "1"], "pareto", 10000, id="one-counter-seed13"),
+        pytest.param(["--seed", "22", "--states", "60", "--counters", "1"], "pareto", 10000, id="one-counter-seed22"),
+        pytest.param(["--seed", "0", "--states", "20", "--counters", "2"], "pareto", 5000, id="two-counter-seed0"),
+        pytest.param(["--seed", "4", "--states", "20", "--counters", "2"], "pareto", 5000, id="two-counter-seed4"),
+        pytest.param(["--seed", "6", "--states", "20", "--counters", "2"], "pareto", 2000, id="two-counter-seed6"),
+    ])
+    def test_stall_decided(self, capsys, tmp_path, generate, command, deadline_ms):
+        # Player-1 strategy products of up to 2.7 billion in the base game or
+        # an out-game: enumerating them exited 3 at these deadlines, the
+        # capped-grid certificates decide them
+        _, text, _ = run_cli(capsys, "generate", *generate)
+        p = tmp_path / "stall.game"
+        p.write_text(text)
+        t0 = time.monotonic()
+        code, _, err = run_cli(capsys, command, str(p), "--time-budget-ms", str(deadline_ms))
+        assert code == 0 and err == ""
+        assert time.monotonic() - t0 < deadline_ms / 1000.0
+
+    def test_deadline_stops_oracle(self, capsys, tmp_path):
+        # Player 0 pumps three counters at an odd color: no cap decides, and
+        # the cap-64 grids hold 274,625 configurations each
+        p = tmp_path / "pump3.game"
+        p.write_text("counters a b c\nstate q0 owner=0 color=1\n"
+                     "trans t1: q0 inc(a) q0\ntrans t2: q0 inc(b) q0\ntrans t3: q0 inc(c) q0\n")
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "oracle", str(p), "--config", "q0 a=0 b=0 c=0", "--time-budget-ms", "200")
+        assert code == 3 and out == ""
+        assert err.startswith("unknown: time budget exceeded in capped bracket oracle")
+        assert time.monotonic() - t0 < 1.0
 
     def test_large_strategy_product_decided(self, capsys, tmp_path):
         p = tmp_path / "wide.game"

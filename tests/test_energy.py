@@ -1,15 +1,16 @@
 """Abstract energy parity solving, the single-sided embedding, and the
 exact integer feasibility kernel."""
+import math
 import random
 import time
 
 import pytest
 
 from helpers import _one_player_win_set as reference_one_player_win_set
-from helpers import random_counter_game, reference_energy_to_single_sided, reference_feasible
-from vassgames import _simplex
+from helpers import random_counter_game, random_credit_game, reference_energy_to_single_sided, reference_feasible
+from vassgames import _simplex, energy
 from vassgames._simplex import feasible
-from vassgames.bounded import UNKNOWN, WIN0, WIN1, bracket_decide
+from vassgames.bounded import UNKNOWN, WIN0, WIN1, bracket_decide, capped_grid
 from vassgames.core import (
     Budget,
     BudgetExceeded,
@@ -18,11 +19,13 @@ from vassgames.core import (
     PartialConfig,
     State,
     Transition,
+    complete_with_sinks,
     dec,
     inc,
     is_single_sided,
 )
 from vassgames.energy import (
+    _enumerate,
     _one_player_win_set,
     energy_to_single_sided,
     pareto_energy,
@@ -266,18 +269,78 @@ def all_strategies_lose_for_player1(k):
 
 
 class TestStrategyBudget:
+    # the certificates decide both games, so the enumerator is called directly
     def test_large_strategy_product_is_enumerated(self):
         # 209,952 Player-1 strategies, but the first ones already leave
         # Player 0 no winning state
         g, _ = generate_game(30, 40, 1)
-        assert set(solve_abstract_energy_parity(g).values()) == {1}
+        assert _enumerate(g, Budget()) == set()
 
     def test_budget_counts_enumerated_strategies(self):
         k = 4
         g = all_strategies_lose_for_player1(k)
-        assert set(solve_abstract_energy_parity(g, Budget(strategy_budget=2 ** k)).values()) == {0}
+        assert _enumerate(g, Budget(strategy_budget=2 ** k)) == set(range(k + 1))
         with pytest.raises(BudgetExceeded, match="abstract energy parity solver"):
-            solve_abstract_energy_parity(g, Budget(strategy_budget=2 ** k - 1))
+            _enumerate(g, Budget(strategy_budget=2 ** k - 1))
+
+
+def test_certificate_grids_check_the_deadline():
+    # 2.8 million Player-1 strategies: the certificates run, and their first
+    # grid already finds the deadline passed
+    g, _ = generate_game(0, 60, 1)
+    with pytest.raises(BudgetExceeded, match="time budget exceeded in abstract energy parity solver"):
+        solve_abstract_energy_parity(g, Budget(deadline=time.monotonic() - 1))
+
+
+def test_node_budget_bounds_certificate_grids(monkeypatch):
+    # 40 states, one counter: the cap-1 grid may hold 80 configurations, so
+    # a budget of 79 builds none and the enumerator decides
+    g, _ = generate_game(30, 40, 1)
+    grids = []
+    monkeypatch.setattr(energy, "capped_grid", lambda *args: grids.append(args) or capped_grid(*args))
+    assert set(solve_abstract_energy_parity(g, Budget(node_budget=79)).values()) == {1}
+    assert grids == []
+    assert set(solve_abstract_energy_parity(g, Budget(node_budget=80)).values()) == {1}
+    assert [args[2] for args in grids] == [1]
+
+
+def differential_games():
+    """Random games with counters whose Player-1 strategies number at most
+    20,000, so the enumerator can check every certificate verdict."""
+    shapes = [(6, 1, True), (12, 1, True), (8, 2, True), (20, 1, True), (6, 1, False), (6, 2, False)]
+    games = [generate_game(seed, n, k, single_sided)[0] for seed in range(140) for n, k, single_sided in shapes]
+    rng = random.Random(20)
+    for i in range(300):
+        if i % 2:
+            games.append(complete_with_sinks(random_counter_game(rng, rng.randint(2, 8), rng.randint(1, 2),
+                                                                 single_sided=bool(i % 4 == 1))))
+        else:
+            games.append(complete_with_sinks(random_credit_game(rng, rng.randint(1, 2))))
+    return [g for g in games if math.prod(len(ms) for s, ms in zip(g.states, g.moves) if s.owner == 1) <= 20000]
+
+
+def test_certificates_agree_with_enumeration(monkeypatch):
+    # every game goes through the capped-grid certificates; a state they
+    # leave open would send the game to the enumerator, counted as a fallback
+    monkeypatch.setattr(energy, "ENUMERATION_LIMIT", 0)
+    fallbacks = []
+
+    def enumerate_counted(game, budget):
+        fallbacks.append(game)
+        return _enumerate(game, budget)
+
+    monkeypatch.setattr(energy, "_enumerate", enumerate_counted)
+    games = differential_games()
+    disagreements = 0
+    winners = set()
+    for g in games:
+        win = _enumerate(g, Budget())
+        verdict = solve_abstract_energy_parity(g)
+        disagreements += verdict != {q: 0 if i in win else 1 for i, q in enumerate(g.state_names())}
+        winners.update(verdict.values())
+    # 1,140 games, 10,067 states: 0 disagreements and 0 fallbacks
+    assert len(games) >= 1000 and sum(len(g.states) for g in games) >= 10000 and winners == {0, 1}
+    assert disagreements == 0 and len(fallbacks) == 0
 
 
 # one transition of each kind: Player-0 nop and dec, Player-1 nop, inc and dec
