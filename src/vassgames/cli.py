@@ -44,7 +44,9 @@ def _add_common(p: argparse.ArgumentParser, nodes: bool = True, deadline: bool =
     budgets its solvers apply, --complete-sinks for commands that load a game
     through the deadlock check."""
     if nodes:
-        p.add_argument("--node-budget", type=_nonnegative_int, default=100000, help="out-game node limit")
+        p.add_argument(
+            "--node-budget", type=_nonnegative_int, default=100000, help="node limit of out-games and certificate grids"
+        )
     if deadline:
         p.add_argument("--time-budget-ms", type=_nonnegative_int, default=0, help="soft wall clock limit (0 = none)")
     if sinks:
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-abstract", help="per-state abstract verdicts (some-credit wins)")
     p.add_argument("game")
-    _add_common(p, nodes=False, sinks=False)
+    _add_common(p, sinks=False)
 
     p = sub.add_parser("pareto", help="Pareto frontier under VASS semantics (single-sided game)")
     p.add_argument("game")

@@ -27,10 +27,10 @@ class Budget:
     """Resource limits shared by the solvers.  node_budget caps the nodes of
     one out-game, and the abstract energy parity solver builds no
     certificate grid of more configurations; strategy_budget caps the
-    Player-1 strategies one abstract solve enumerates, which it does only
-    for small strategy products or when the certificates leave a state
-    open; deadline is a time.monotonic() instant, and None disables the time
-    check, which names the layer it stops."""
+    Player-1 strategies one abstract solve tries, those read off its grids
+    and those it enumerates after them; deadline is a time.monotonic()
+    instant, and None disables the time check, which names the layer it
+    stops."""
 
     node_budget: int = 100000
     strategy_budget: int = 200000

@@ -10,23 +10,25 @@ componentwise nonnegative effect inside the subgraph of colors <= d.  Such a
 walk stays inside one strongly connected component, so each component's
 inner edges are tested once.
 
-Two certificates decide most states without enumerating strategies.  For
-caps K = 1, 2, 4, ..., MAX_CAP, bounded.capped_grid builds the saturated
-grid (increments clamp at K) under energy semantics from the roots (q, K,
-..., K), and Zielonka's algorithm solves it:
-* Player 0 wins at q if (q, K, ..., K) is a grid win.  Saturation only ever
+The solver narrows two sets of states until they are equal: sure, the
+states Player 0 is proved to win, and win, the states that no Player-1
+strategy tried so far makes Player 0 lose.  Then sure = win is the answer.
+For caps K = 1, 2, 4, ..., MAX_CAP, while the grid fits in Budget.node_budget,
+bounded.capped_grid builds the saturated grid (increments clamp at K) under
+energy semantics from the roots (q, K, ..., K), and Zielonka's algorithm
+solves it:
+* q joins sure if (q, K, ..., K) is a grid win.  Saturation only ever
   lowers a counter, so the same strategy wins the real game with credit K.
-* Player 1 wins at q if q loses the one-player test under a positional
-  sigma: by playing sigma, Player 1 then beats every Player-0 strategy from
-  every credit, whatever sigma is.  sigma plays, at each Player-1 state,
+* the grid gives a positional sigma to try: at each Player-1 state,
   Zielonka's choice at the grid configuration of largest value sum that
   Player 1 wins there, and the first move where it wins none.
-A state in both sets would be a bug.  The first cap whose two sets cover
-every state decides; if none does before MAX_CAP or before a grid could
-pass Budget.node_budget, the solver enumerates every positional Player-1
-strategy and keeps the states where Player 0 wins under all of them, which
-is complete.  A game with at most ENUMERATION_LIMIT such strategies is
-enumerated at once, since that is cheaper than building grids.
+Trying sigma removes from win the states that lose the one-player test under
+it: by playing sigma, Player 1 beats every Player-0 strategy there from
+every credit.  After the grids, every positional Player-1 strategy is tried
+in turn, which is complete.  A state in sure but not in win would be a bug.
+A game with at most ENUMERATION_LIMIT such strategies builds no grid, since
+enumerating them is cheaper; sure stays empty, and the solver stops when
+win is.
 
 For one counter, a Bellman-Ford longest-path pass from all vertices at 0
 either still improves after |V| rounds, and then a positive cycle exists and
@@ -227,64 +229,6 @@ def _edges(game: IntegerGame) -> Tuple[List[Edge], List[List[Edge]]]:
     return fixed_edges, p1_choices
 
 
-def _certify(game: IntegerGame, budget: Budget) -> Optional[Set[int]]:
-    """Player 0's abstract winning states when the capped-grid certificates
-    (see the module docstring) decide every state at some cap 1, 2, 4, ...,
-    MAX_CAP whose grid fits in budget.node_budget; None otherwise."""
-    fixed_edges, p1_choices = _edges(game)
-    n, k = len(game.states), len(game.counters)
-    colors = [s.color for s in game.states]
-    cap = 1
-    while cap <= MAX_CAP and n * (cap + 1) ** k <= budget.node_budget:
-        roots = tuple((q, (cap,) * k) for q in game.state_names())
-        grid, configs = capped_grid(game, ENERGY, cap, SATURATE, roots, budget, ABSTRACT)
-        w0, _, _, s1 = solve_parity(grid)
-        top: Dict[int, Tuple[int, int]] = {}  # state -> (value sum, vertex) of its largest Player-1 win
-        for v, (s, vec) in enumerate(configs, 2):
-            if v in s1 and sum(vec) > top.get(s, (-1, 0))[0]:
-                top[s] = (sum(vec), v)
-        sigma = []
-        for es in p1_choices:
-            if es[0][0] in top:
-                v = top[es[0][0]][1]
-                sigma.append(es[grid.succ[v].index(s1[v])])
-            else:
-                sigma.append(es[0])  # Player 1 wins no configuration of this state
-        win0 = {q for q in range(n) if q + 2 in w0}
-        win1 = set(range(n)) - _one_player_win_set(n, colors, fixed_edges + sigma, k)
-        if win0 & win1:
-            raise AssertionError("capped-grid certificates contradict each other at cap %d" % cap)
-        if len(win0) + len(win1) == n:
-            return win0
-        cap *= 2
-    return None
-
-
-def _enumerate(game: IntegerGame, budget: Budget) -> Set[int]:
-    """Player 0's abstract winning states, by the one-player test under every
-    positional Player-1 strategy: the states no strategy makes Player 0 lose.
-
-    Stops as soon as no state is left winning for Player 0; raises
-    BudgetExceeded once more than budget.strategy_budget strategies have been
-    enumerated, or when the deadline passes."""
-    fixed_edges, p1_choices = _edges(game)
-    n = len(game.states)
-    colors = [s.color for s in game.states]
-    win = set(range(n))
-    ticks = 0
-    for combo in itertools.product(*p1_choices):
-        ticks += 1
-        if ticks > budget.strategy_budget:
-            raise BudgetExceeded(
-                "%s: strategy budget of %d Player-1 strategies exceeded" % (ABSTRACT, budget.strategy_budget)
-            )
-        budget.check_time(ABSTRACT)
-        win &= _one_player_win_set(n, colors, fixed_edges + list(combo), len(game.counters))
-        if not win:
-            break
-    return win
-
-
 def solve_abstract_energy_parity(
     game: IntegerGame,
     budget: Optional[Budget] = None,
@@ -293,10 +237,12 @@ def solve_abstract_energy_parity(
     for some sufficiently large initial credit.
 
     Requires every state to have a move, since energy semantics never
-    disables one; a state without moves is a ValueError.  Up to
-    ENUMERATION_LIMIT Player-1 strategies are enumerated at once; beyond it
-    the capped-grid certificates decide, and only a state they leave open
-    sends the game to the enumeration (see _enumerate for its budgets)."""
+    disables one; a state without moves is a ValueError.  With counters, one
+    loop narrows sure, the states whose all-K root some certificate grid
+    wins, and win, the states no Player-1 strategy tried so far makes Player
+    0 lose, and stops when they are equal (see the module docstring).  Raises
+    BudgetExceeded once more than budget.strategy_budget strategies have been
+    tried, or when the deadline passes."""
     budget = budget or Budget()
     moves = game.moves
     # energy semantics never disables a move, so only sinks are a problem
@@ -312,11 +258,46 @@ def solve_abstract_energy_parity(
         w0, _, _, _ = solve_parity(fg)
         return {s.name: (0 if v in w0 else 1) for v, s in enumerate(game.states)}
 
-    win = None
-    if math.prod([len(ms) for s, ms in zip(game.states, moves) if s.owner == 1]) > ENUMERATION_LIMIT:
-        win = _certify(game, budget)
-    if win is None:
-        win = _enumerate(game, budget)
+    fixed_edges, p1_choices = _edges(game)
+    n, k = len(game.states), len(game.counters)
+    colors = [s.color for s in game.states]
+    sure: Set[int] = set()
+    win = set(range(n))
+
+    def grid_strategies():
+        # each cap's grid adds its wins to sure, then yields its sigma
+        cap = 1
+        while cap <= MAX_CAP and n * (cap + 1) ** k <= budget.node_budget:
+            roots = tuple((q, (cap,) * k) for q in game.state_names())
+            grid, configs = capped_grid(game, ENERGY, cap, SATURATE, roots, budget, ABSTRACT)
+            w0, _, _, s1 = solve_parity(grid)
+            sure.update(q for q in range(n) if q + 2 in w0)
+            top: Dict[int, Tuple[int, int]] = {}  # state -> (value sum, vertex) of its largest Player-1 win
+            for v, (s, vec) in enumerate(configs, 2):
+                if v in s1 and sum(vec) > top.get(s, (-1, 0))[0]:
+                    top[s] = (sum(vec), v)
+            sigma = []
+            for es in p1_choices:
+                if es[0][0] in top:
+                    v = top[es[0][0]][1]
+                    sigma.append(es[grid.succ[v].index(s1[v])])
+                else:
+                    sigma.append(es[0])  # Player 1 wins no configuration of this state
+            yield sigma
+            cap *= 2
+
+    grids = grid_strategies() if math.prod(map(len, p1_choices)) > ENUMERATION_LIMIT else ()
+    for tried, sigma in enumerate(itertools.chain(grids, itertools.product(*p1_choices)), 1):
+        if tried > budget.strategy_budget:
+            raise BudgetExceeded(
+                "%s: strategy budget of %d Player-1 strategies exceeded" % (ABSTRACT, budget.strategy_budget)
+            )
+        budget.check_time(ABSTRACT)
+        win &= _one_player_win_set(n, colors, fixed_edges + list(sigma), k)
+        if sure - win:
+            raise AssertionError("a state won on a capped grid loses under a Player-1 strategy")
+        if win == sure:
+            break
     return {s.name: (0 if v in win else 1) for v, s in enumerate(game.states)}
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from vassgames import cli, formats
 from vassgames.core import Budget, BudgetExceeded, PartialConfig
-from vassgames.energy import _enumerate, pareto_energy, solve_abstract_energy_parity
+from vassgames.energy import pareto_energy, solve_abstract_energy_parity
 from vassgames.solver import build_out_game
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -151,7 +151,6 @@ class TestExitCodes:
             ["solve-abstract", G1, "--complete-sinks"],
             ["generate", "--seed", "7", "--format", "json"],
             ["generate", "--seed", "7", "--time-budget-ms", "100"],
-            ["solve-abstract", G1, "--node-budget", "1"],
         ):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
@@ -159,9 +158,9 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "oracle", G1, "--config", "q0 c=1", "--format", "json")
         assert code == 0 and json.loads(out) == {"command": "oracle", "verdict": "Win0",
                                                  "budget": {"time_budget_ms": 0}}
-        # the abstract solver applies only the deadline, and echoes only it
+        # the abstract solver bounds its certificate grids by the node budget
         code, out, _ = run_cli(capsys, "solve-abstract", G1, "--time-budget-ms", "5000", "--format", "json")
-        assert code == 0 and json.loads(out)["budget"] == {"time_budget_ms": 5000}
+        assert code == 0 and json.loads(out)["budget"] == {"node_budget": 100000, "time_budget_ms": 5000}
 
     def test_negative_counts_rejected(self, capsys):
         # budgets, the cap and generator sizes are counts: a negative one is
@@ -181,12 +180,23 @@ class TestExitCodes:
     def test_deadline_stops_strategy_enumeration(self):
         # over 200,000 Player-1 strategies of this base game, none of which
         # empties Player 0's winning set early; the capped-grid certificates
-        # decide it (test_stall_decided), so the enumerator is called directly
+        # decide it (test_stall_decided), so a node budget of 0 builds none
         game, _ = formats.generate_game(0, 60, 1)
         t0 = time.monotonic()
         with pytest.raises(BudgetExceeded, match="time budget exceeded in abstract energy parity solver"):
-            _enumerate(game, Budget(deadline=t0 + 1.0))
+            solve_abstract_energy_parity(game, Budget(node_budget=0, deadline=t0 + 1.0))
         assert time.monotonic() - t0 < 5.0
+
+    def test_node_budget_bounds_abstract_grids(self, capsys, tmp_path):
+        # the same base game: its certificate grids decide it, and with a node
+        # budget of 0 no grid is built, so the enumeration meets the deadline
+        code, text, _ = run_cli(capsys, "generate", "--seed", "0", "--states", "60", "--counters", "1")
+        p = tmp_path / "stall.game"
+        p.write_text(text)
+        code, _, err = run_cli(capsys, "solve-abstract", str(p), "--node-budget", "0", "--time-budget-ms", "500")
+        assert code == 3 and "abstract energy parity solver" in err
+        code, out, _ = run_cli(capsys, "solve-abstract", str(p))
+        assert code == 0 and len(out.splitlines()) == 60
 
     def test_deadline_checked_on_every_strategy(self):
         # the first out-game of this 20-state, 2-counter game: 152 states and
@@ -200,7 +210,7 @@ class TestExitCodes:
         out = build_out_game(game, PartialConfig.make("q0", {"c2": 0}), beta)
         t0 = time.monotonic()
         with pytest.raises(BudgetExceeded, match="time budget exceeded in abstract energy parity solver"):
-            _enumerate(out.game, Budget(deadline=t0 + 2.0))
+            solve_abstract_energy_parity(out.game, Budget(node_budget=0, deadline=t0 + 2.0))
         assert time.monotonic() - t0 < 3.5
 
     @pytest.mark.parametrize("generate, command, deadline_ms", [

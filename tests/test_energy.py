@@ -25,7 +25,6 @@ from vassgames.core import (
     is_single_sided,
 )
 from vassgames.energy import (
-    _enumerate,
     _one_player_win_set,
     energy_to_single_sided,
     pareto_energy,
@@ -269,19 +268,20 @@ def all_strategies_lose_for_player1(k):
 
 
 class TestStrategyBudget:
-    # the certificates decide both games, so the enumerator is called directly
+    # a node budget of 0 builds no certificate grid, so every strategy tried
+    # comes from the enumeration
     def test_large_strategy_product_is_enumerated(self):
         # 209,952 Player-1 strategies, but the first ones already leave
         # Player 0 no winning state
         g, _ = generate_game(30, 40, 1)
-        assert _enumerate(g, Budget()) == set()
+        assert set(solve_abstract_energy_parity(g, Budget(node_budget=0)).values()) == {1}
 
     def test_budget_counts_enumerated_strategies(self):
         k = 4
         g = all_strategies_lose_for_player1(k)
-        assert _enumerate(g, Budget(strategy_budget=2 ** k)) == set(range(k + 1))
+        assert set(solve_abstract_energy_parity(g, Budget(node_budget=0, strategy_budget=2 ** k)).values()) == {0}
         with pytest.raises(BudgetExceeded, match="abstract energy parity solver"):
-            _enumerate(g, Budget(strategy_budget=2 ** k - 1))
+            solve_abstract_energy_parity(g, Budget(node_budget=0, strategy_budget=2 ** k - 1))
 
 
 def test_certificate_grids_check_the_deadline():
@@ -320,27 +320,34 @@ def differential_games():
 
 
 def test_certificates_agree_with_enumeration(monkeypatch):
-    # every game goes through the capped-grid certificates; a state they
-    # leave open would send the game to the enumerator, counted as a fallback
+    # every game goes through the capped-grid certificates, against plain
+    # enumeration (a node budget of 0 builds no grid); a game whose grids
+    # leave a state open tries more Player-1 strategies, one one-player test
+    # each, than it builds grids, and is counted as a fallback
     monkeypatch.setattr(energy, "ENUMERATION_LIMIT", 0)
-    fallbacks = []
+    calls = {"grids": 0, "tests": 0}
 
-    def enumerate_counted(game, budget):
-        fallbacks.append(game)
-        return _enumerate(game, budget)
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
 
-    monkeypatch.setattr(energy, "_enumerate", enumerate_counted)
+    monkeypatch.setattr(energy, "capped_grid", counted("grids", capped_grid))
+    monkeypatch.setattr(energy, "_one_player_win_set", counted("tests", _one_player_win_set))
     games = differential_games()
-    disagreements = 0
+    disagreements = fallbacks = 0
     winners = set()
     for g in games:
-        win = _enumerate(g, Budget())
+        enumerated = solve_abstract_energy_parity(g, Budget(node_budget=0))
+        calls.update(grids=0, tests=0)
         verdict = solve_abstract_energy_parity(g)
-        disagreements += verdict != {q: 0 if i in win else 1 for i, q in enumerate(g.state_names())}
+        fallbacks += calls["tests"] > calls["grids"]
+        disagreements += verdict != enumerated
         winners.update(verdict.values())
     # 1,140 games, 10,067 states: 0 disagreements and 0 fallbacks
     assert len(games) >= 1000 and sum(len(g.states) for g in games) >= 10000 and winners == {0, 1}
-    assert disagreements == 0 and len(fallbacks) == 0
+    assert disagreements == 0 and fallbacks == 0
 
 
 # one transition of each kind: Player-0 nop and dec, Player-1 nop, inc and dec
