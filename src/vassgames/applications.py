@@ -185,11 +185,6 @@ class Diamond:
 
 
 @dataclass(frozen=True)
-class Box:
-    body: "Formula"
-
-
-@dataclass(frozen=True)
 class GuardedBox:
     """The single-sided-safe box: 'at a Player-1 state, all successors
     satisfy the body' (written  P1 /\\ [] body)."""
@@ -237,6 +232,7 @@ def parse_formula(text: str) -> Formula:
     Grammar (loosest first): mu X . f | nu X . f | f \\/ f | f /\\ f |
     <> f | P1 /\\ [] f | ( f ) | identifier.  Identifiers bound by an
     enclosing fixpoint are variables, other identifiers are state atoms.
+    A box outside P1 /\\ [] f is not single-sided safe and is rejected.
     Binders keep their written names, so two fixpoints may bind the same
     variable; mucalc_game renames them apart."""
     toks = _tokenize(text)
@@ -295,8 +291,7 @@ def parse_formula(text: str) -> Formula:
             eat()
             return Diamond(unary(bound))
         if tok == "[]":
-            eat()
-            return Box(unary(bound))
+            raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
         if tok == "(":
             eat()
             f = expr(bound)
@@ -324,7 +319,7 @@ def _kids(f: Formula) -> Tuple[Formula, ...]:
     reads children through here."""
     if isinstance(f, (And, Or)):
         return (f.left, f.right)
-    if isinstance(f, (Diamond, Box, GuardedBox, Mu, Nu)):
+    if isinstance(f, (Diamond, GuardedBox, Mu, Nu)):
         return (f.body,)
     if isinstance(f, (Atom, Var)):
         return ()
@@ -352,38 +347,28 @@ def _rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Optional[Dic
     return type(f)(*kids) if kids else f
 
 
-def subformulas(f: Formula) -> List[Formula]:
-    """All subformulas, outermost first, without duplicates."""
-    out: List[Formula] = []
-    seen = set()
+def _closure(
+    f: Formula,
+) -> Tuple[List[Formula], Dict[Formula, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]]]:
+    """The subformulas of f, outermost first without duplicates, and per
+    subformula its alternation depth, its free variables and the deepest
+    fixpoint of each (kind, free variable) inside it.  The depth is
+    Niwinski's, of dependent fixpoints: a fixpoint lies one above every
+    opposite fixpoint inside it with its variable free.  One walk lists each
+    subformula on entry and fills in its entry on exit from its children's,
+    so a fixpoint reads its dependents off its body's table; entries are
+    keyed by value, since equal formulas have equal entries."""
+    subs: List[Formula] = []
+    info: Dict[Formula, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]] = {}
 
-    def go(g: Formula) -> None:
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-            for h in _kids(g):
-                go(h)
-
-    go(f)
-    return out
-
-
-def _alternation_depths(f: Formula) -> Dict[int, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]]:
-    """Per subformula node of f, by identity: its alternation depth, its
-    free variables and the deepest fixpoint of each (kind, free variable)
-    inside it.  The depth is Niwinski's, of dependent fixpoints: a fixpoint
-    lies one above every opposite fixpoint inside it with its variable
-    free.  One bottom-up walk visits each node once; a fixpoint reads its
-    dependents off its body's table."""
-    memo: Dict[int, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]] = {}
-
-    def walk(g: Formula) -> None:
-        if id(g) in memo:
-            return
+    def walk(g: Formula) -> Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]:
+        entry = info.get(g)
+        if entry is not None:
+            return entry
+        subs.append(g)
         d, free, deepest = 0, frozenset([g.name] if isinstance(g, Var) else []), {}
         for h in _kids(g):
-            walk(h)
-            e, kid_free, table = memo[id(h)]
+            e, kid_free, table = walk(h)
             d, free = max(d, e), free | kid_free
             for key, v in table.items():
                 deepest[key] = max(v, deepest.get(key, 0))
@@ -392,10 +377,11 @@ def _alternation_depths(f: Formula) -> Dict[int, Tuple[int, FrozenSet[str], Dict
             free -= {g.var}
             for x in free:
                 deepest[type(g), x] = max(d, deepest.get((type(g), x), 0))
-        memo[id(g)] = d, free, deepest
+        info[g] = entry = d, free, deepest
+        return entry
 
     walk(f)
-    return memo
+    return subs, info
 
 
 def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[[str], str]]:
@@ -403,29 +389,27 @@ def mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame, Callable[
     a closed guarded formula.  Player 1 owns conjunctions and guarded boxes;
     fixpoint states are colored by alternation depth (odd for mu, even for
     nu), mismatched atoms and stuck guards are odd self-loops, everything
-    else is color 0.  State <q, g> is named q#i for the position i of g in
-    subformulas(phi); the states come in VASS-state-major order.  Returns
-    the game and the map q -> product root <q, phi>."""
+    else is color 0.  State <q, g> is named q#i for the position i of g
+    among the subformulas of phi, outermost first; the states come in
+    VASS-state-major order.  Returns the game and the map q -> product root
+    <q, phi>."""
     # the binder map below needs one binder per variable name
     phi = _rename_apart(phi)
-    depths = _alternation_depths(phi)
-    if depths[id(phi)][1]:
-        raise ValueError("formula must be closed: free %s" % sorted(depths[id(phi)][1]))
+    subs, info = _closure(phi)
+    if info[phi][1]:
+        raise ValueError("formula must be closed: free %s" % sorted(info[phi][1]))
     if not is_single_sided(vass):
         raise ValueError("mu-calculus product needs a single-sided VASS")
     bad = check_deadlock_free(vass)
     if bad:
         raise ValueError("VASS may deadlock at states: %s" % ", ".join(bad))
-    subs = subformulas(phi)
-    if any(isinstance(g, Box) for g in subs):
-        raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
     sidx = {g: i for i, g in enumerate(subs)}
     binder = {g.var: g for g in subs if isinstance(g, (Mu, Nu))}
     # a fixpoint's color is its alternation depth, raised to the next odd
     # number for mu and the next even one for nu
     color: Dict[Formula, int] = {}
     for g in binder.values():
-        d = depths[id(g)][0]
+        d = info[g][0]
         color[g] = d + (d + isinstance(g, Mu)) % 2
 
     def node(q: str, g: Formula) -> str:
@@ -491,10 +475,4 @@ def global_model_check(
     game = restrict_reachable(game, list(roots))
     table = ParetoTable(game, budget)
     frontier = table.frontier(frozenset(vass.counters))
-    out: Dict[str, Antichain] = {}
-    for root, q in roots.items():
-        ac = Antichain()
-        for el in frontier[root]:
-            ac = ac.insert(PartialConfig(q, el.items))
-        out[q] = ac
-    return out
+    return {q: Antichain(PartialConfig(q, el.items) for el in frontier[root]) for root, q in roots.items()}

@@ -66,22 +66,17 @@ def capped_grid(
         raise ValueError("saturate mode under VASS semantics needs a single-sided game")
 
     k = len(game.counters)
-    size = (cap + 1) ** k
-    stride = [(cap + 1) ** (k - 1 - c) for c in range(k)]
     index = {s.name: i for i, s in enumerate(game.states)}
-    # explored configurations, numbered from 2 and keyed by s*size + rank(vec)
+    # explored configurations, numbered from 2 and keyed by themselves
     configs: List[Tuple[int, Tuple[int, ...]]] = []
-    ranks: List[int] = []
-    number: Dict[int, int] = {}
+    number: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     for name, vec in roots:
         if name not in index or len(vec) != k or not all(0 <= v <= cap for v in vec):
             raise ValueError("root %r is not a configuration of the cap-%d grid" % ((name, vec), cap))
-        rank = sum(v * st for v, st in zip(vec, stride))
-        pos = index[name] * size + rank
-        if pos not in number:
-            number[pos] = len(configs) + 2
-            configs.append((index[name], tuple(vec)))
-            ranks.append(rank)
+        conf = (index[name], tuple(vec))
+        if conf not in number:
+            number[conf] = len(configs) + 2
+            configs.append(conf)
     # overflow wins for Player 0, underflow loses
     vertices = [(0, 0), (0, 1)]
     succ: List[Tuple[int, ...]] = [(0,), (1,)]
@@ -92,10 +87,8 @@ def capped_grid(
     for i, (s, vec) in enumerate(configs):  # grows while it is read
         if budget is not None and not i % 64:
             budget.check_time(layer)
-        rank = ranks[i]
         out = []
         for dst, c, delta in moves[s]:
-            nrank = rank
             nvec = vec
             if c >= 0:
                 nv = vec[c] + delta
@@ -110,14 +103,12 @@ def capped_grid(
                         continue
                     # saturate: the value stays at cap
                 else:
-                    nrank += delta * stride[c]
                     nvec = vec[:c] + (nv,) + vec[c + 1:]
-            pos = dst * size + nrank
-            w = number.get(pos)
+            conf = (dst, nvec)
+            w = number.get(conf)
             if w is None:
-                w = number[pos] = len(configs) + 2
-                configs.append((dst, nvec))
-                ranks.append(nrank)
+                w = number[conf] = len(configs) + 2
+                configs.append(conf)
             out.append(w)
         vertices.append(labels[s])
         if not out:
@@ -143,14 +134,7 @@ def solve_capped(
 ) -> Dict[Tuple[str, Tuple[int, ...]], int]:
     """Winner (0 or 1) of every configuration of capped_grid(game, semantics,
     cap, mode, roots), keyed by (state name, value vector in game.counters
-    order); they are the winners of the whole grid.
-
-    Given every configuration as a root, states in declaration order and
-    vectors in rank order, state index s at vector vec is vertex 2 +
-    s*(cap+1)**k + rank(vec), where rank reads vec as a base-(cap+1) number
-    with the last counter fastest; that is also how configurations are keyed
-    while the grid is explored.
-    """
+    order); they are the winners of the whole grid."""
     grid, configs = capped_grid(game, semantics, cap, mode, roots, budget)
     w0, _, _, _ = solve_parity(grid)
     names = game.state_names()

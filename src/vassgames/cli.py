@@ -39,16 +39,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, nodes: bool = True, deadline: bool = True, sinks: bool = True) -> None:
-    """Register the shared flags a command reads: --format always, the
-    budgets its solvers apply, --complete-sinks for commands that load a game
-    through the deadlock check."""
+def _add_common(p: argparse.ArgumentParser, nodes: bool = True, sinks: bool = True) -> None:
+    """Register the shared flags a command reads: --format and
+    --time-budget-ms always, --node-budget where its solvers apply it,
+    --complete-sinks for commands that load a game through the deadlock
+    check."""
     if nodes:
         p.add_argument(
             "--node-budget", type=_nonnegative_int, default=100000, help="node limit of out-games and certificate grids"
         )
-    if deadline:
-        p.add_argument("--time-budget-ms", type=_nonnegative_int, default=0, help="soft wall clock limit (0 = none)")
+    p.add_argument("--time-budget-ms", type=_nonnegative_int, default=0, help="soft wall clock limit (0 = none)")
     if sinks:
         p.add_argument(
             "--complete-sinks", action="store_true", help="repair deadlock-check failures with losing sinks"

@@ -192,37 +192,28 @@ def parse_config(game: IntegerGame, text: str) -> PartialConfig:
     return PartialConfig(state, tuple(items))
 
 
-def format_element(game: IntegerGame, gamma: PartialConfig) -> str:
-    items = [(c, gamma.get(c)) for c in game.counters if gamma.get(c) is not None]
-    return "(%s)" % ",".join("%s=%d" % (c, v) for c, v in items)
-
-
-def _sorted_elements(game: IntegerGame, ac: Antichain) -> List[PartialConfig]:
-    """Elements by value vector in counter order; an undefined counter reads -1."""
-    return sorted(ac, key=lambda g: tuple(-1 if g.get(c) is None else g.get(c) for c in game.counters))
-
-
-def format_frontier(game: IntegerGame, frontier: Mapping[str, Antichain]) -> List[str]:
-    """One line per state with a nonempty frontier, in declaration order;
-    elements sorted by their value vectors."""
-    lines = []
-    for s in game.states:
-        ac = frontier.get(s.name)
-        if not ac:
-            continue
-        elems = _sorted_elements(game, ac)
-        lines.append("%s: %s" % (s.name, " ".join(format_element(game, g) for g in elems)))
-    return lines
-
-
 def frontier_json(game: IntegerGame, frontier: Mapping[str, Antichain]) -> Dict[str, List[Dict[str, int]]]:
+    """Per state of frontier, in declaration order, its elements as their
+    defined counter values, sorted by value vector in counter order; an
+    undefined counter reads -1."""
     out: Dict[str, List[Dict[str, int]]] = {}
     for s in game.states:
         ac = frontier.get(s.name)
         if ac is None:
             continue
-        out[s.name] = [{c: g.get(c) for c in game.counters if g.get(c) is not None} for g in _sorted_elements(game, ac)]
+        elems = [{c: g.get(c) for c in game.counters if g.get(c) is not None} for g in ac]
+        out[s.name] = sorted(elems, key=lambda el: [el.get(c, -1) for c in game.counters])
     return out
+
+
+def format_frontier(game: IntegerGame, frontier: Mapping[str, Antichain]) -> List[str]:
+    """One line per state with a nonempty frontier, listed as frontier_json
+    lists it."""
+    return [
+        "%s: %s" % (name, " ".join("(%s)" % ",".join("%s=%d" % cv for cv in el.items()) for el in elems))
+        for name, elems in frontier_json(game, frontier).items()
+        if elems
+    ]
 
 
 def generate_game(

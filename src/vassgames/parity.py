@@ -12,10 +12,13 @@ solve_parity marks subgames in place instead of copying vertex sets: the
 bytearray alive holds 1 for each vertex of the subgame being solved.  A
 recursive call on the subgame minus an attractor clears the attractor's
 vertices in alive and sets them again when it returns, so each call holds
-only the list of its own vertices.  Each attractor marks its members with a
-stamp of its own and counts an opponent vertex's alive successors the first
-time it reaches that vertex (Friedmann & Lange, "Solving parity games in
-practice", ATVA 2009).
+only the list of its own vertices.  Zielonka's second recursive call, on
+the subgame minus the opponent's attractor, is the next turn of a loop
+instead: the attractors peeled in the loop stay cleared until the call
+returns, so calls nest once per color, not once per peeled attractor.
+Each attractor marks its members with a stamp of its own and counts an
+opponent vertex's alive successors the first time it reaches that vertex
+(Friedmann & Lange, "Solving parity games in practice", ATVA 2009).
 """
 from __future__ import annotations
 
@@ -85,38 +88,47 @@ def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int]
 
     def solve(sub: List[int]) -> Tuple[List[List[int]], List[Dict[int, int]]]:
         """Winning regions W and strategies S of sub, indexed by player."""
-        if not sub:
-            return [[], []], [{}, {}]
-        d = max([color[v] for v in sub])
-        i = d % 2
-        if d == 0:
-            # all colors 0: Player 0 wins everywhere, any choice staying in sub
-            return [sub, []], [{v: min(w for w in succ[v] if alive[w]) for v in sub if owner[v] == 0}, {}]
-        top = [v for v in sub if color[v] == d]
-        strat_i: Dict[int, int] = {}
-        a = attractor(top, i, strat_i)
-        for v in a:
-            alive[v] = 0
-        W, S = solve([v for v in sub if alive[v]])
-        for v in a:
-            alive[v] = 1
-        if not W[1 - i]:
-            # player i wins all of sub
-            W[i] = sub
-            S[i].update(strat_i)
-            for v in top:
-                if owner[v] == i and v not in S[i]:
-                    S[i][v] = min(w for w in succ[v] if alive[w])
-            return W, S
-        strat_o = S[1 - i]
-        b = attractor(W[1 - i], 1 - i, strat_o)
-        for v in b:
-            alive[v] = 0
-        W, S = solve([v for v in sub if alive[v]])
-        for v in b:
-            alive[v] = 1
-        W[1 - i] += b
-        S[1 - i].update(strat_o)
+        peeled: List[Tuple[int, List[int], Dict[int, int]]] = []  # (player, attractor, its strategy)
+        while True:
+            if not sub:
+                W, S = [[], []], [{}, {}]
+                break
+            d = max([color[v] for v in sub])
+            i = d % 2
+            if d == 0:
+                # all colors 0: Player 0 wins everywhere, any choice staying in sub
+                W, S = [sub, []], [{v: min(w for w in succ[v] if alive[w]) for v in sub if owner[v] == 0}, {}]
+                break
+            top = [v for v in sub if color[v] == d]
+            strat_i: Dict[int, int] = {}
+            a = attractor(top, i, strat_i)
+            for v in a:
+                alive[v] = 0
+            W, S = solve([v for v in sub if alive[v]])
+            for v in a:
+                alive[v] = 1
+            if not W[1 - i]:
+                # player i wins all of sub
+                W[i] = sub
+                S[i].update(strat_i)
+                for v in top:
+                    if owner[v] == i and v not in S[i]:
+                        S[i][v] = min(w for w in succ[v] if alive[w])
+                break
+            # the opponent wins its attractor to W[1 - i]; solve the rest next turn
+            strat_o = S[1 - i]
+            b = attractor(W[1 - i], 1 - i, strat_o)
+            for v in b:
+                alive[v] = 0
+            peeled.append((1 - i, b, strat_o))
+            sub = [v for v in sub if alive[v]]
+        # innermost first, the order of Zielonka's nested calls: the order of
+        # W's lists decides which successors the caller's attractors record
+        for o, b, strat_o in reversed(peeled):
+            for v in b:
+                alive[v] = 1
+            W[o] += b
+            S[o].update(strat_o)
         return W, S
 
     W, S = solve(list(range(n)))

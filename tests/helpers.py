@@ -17,7 +17,6 @@ from vassgames.applications import (
     TAU,
     And,
     Atom,
-    Box,
     Diamond,
     FiniteLTS,
     Formula,
@@ -1270,8 +1269,6 @@ def reference_rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Opt
         return Or(reference_rename_apart(f.left, used, env), reference_rename_apart(f.right, used, env))
     if isinstance(f, Diamond):
         return Diamond(reference_rename_apart(f.body, used, env))
-    if isinstance(f, Box):
-        return Box(reference_rename_apart(f.body, used, env))
     if isinstance(f, GuardedBox):
         return GuardedBox(reference_rename_apart(f.body, used, env))
     if isinstance(f, (Mu, Nu)):
@@ -1294,7 +1291,7 @@ def reference_free_vars(f: Formula) -> FrozenSet[str]:
         return frozenset([f.name])
     if isinstance(f, (And, Or)):
         return reference_free_vars(f.left) | reference_free_vars(f.right)
-    if isinstance(f, (Diamond, Box, GuardedBox)):
+    if isinstance(f, (Diamond, GuardedBox)):
         return reference_free_vars(f.body)
     if isinstance(f, (Mu, Nu)):
         return reference_free_vars(f.body) - {f.var}
@@ -1314,7 +1311,7 @@ def reference_subformulas(f: Formula) -> List[Formula]:
         if isinstance(g, (And, Or)):
             go(g.left)
             go(g.right)
-        elif isinstance(g, (Diamond, Box, GuardedBox)):
+        elif isinstance(g, (Diamond, GuardedBox)):
             go(g.body)
         elif isinstance(g, (Mu, Nu)):
             go(g.body)
@@ -1329,7 +1326,7 @@ def reference_alternation_depth(f: Formula) -> int:
         return 0
     if isinstance(f, (And, Or)):
         return max(reference_alternation_depth(f.left), reference_alternation_depth(f.right))
-    if isinstance(f, (Diamond, Box, GuardedBox)):
+    if isinstance(f, (Diamond, GuardedBox)):
         return reference_alternation_depth(f.body)
     if isinstance(f, (Mu, Nu)):
         opposite = Nu if isinstance(f, Mu) else Mu
@@ -1358,9 +1355,6 @@ def reference_mucalc_game(vass: IntegerGame, phi: Formula) -> Tuple[IntegerGame,
     if bad:
         raise ValueError("VASS may deadlock at states: %s" % ", ".join(bad))
     subs = reference_subformulas(phi)
-    for g in subs:
-        if isinstance(g, Box):
-            raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
     sidx = {id_key: i for i, id_key in enumerate(subs)}
     binder: Dict[str, Formula] = {}
     for g in subs:

@@ -22,7 +22,6 @@ from helpers import (
 from vassgames.applications import (
     And,
     Atom,
-    Box,
     Diamond,
     FiniteLTS,
     GuardedBox,
@@ -30,7 +29,7 @@ from vassgames.applications import (
     Nu,
     Or,
     Var,
-    _alternation_depths,
+    _closure,
     _rename_apart,
     check_weaksim,
     global_model_check,
@@ -38,7 +37,6 @@ from vassgames.applications import (
     mucalc_game,
     parse_formula,
     restrict_reachable,
-    subformulas,
     weaksim_game,
 )
 from vassgames.core import (
@@ -162,7 +160,7 @@ class TestParser:
 
 
 def alternation_depth(f):
-    return _alternation_depths(f)[id(f)][0]
+    return _closure(f)[1][f][0]
 
 
 class TestAlternation:
@@ -192,9 +190,9 @@ class TestAlternation:
 
 class TestModelCheck:
     def test_unguarded_box_rejected(self):
-        vass = IntegerGame((), (State("q0", 0, 0),), (Transition("t1", "q0", NOP_OP, "q0"),))
-        with pytest.raises(ValueError):
-            mucalc_game(vass, parse_formula("[] q0"))
+        with pytest.raises(ValueError, match=r"unguarded box is not single-sided safe; use P1 /\\ \[\] f"):
+            parse_formula("[] q0")
+        assert parse_formula("P1 /\\ [] q0") == GuardedBox(Atom("q0"))
 
     def test_open_formula_rejected(self):
         with pytest.raises(ValueError, match=r"must be closed: free \['Y'\]"):
@@ -273,12 +271,13 @@ def test_products_and_walks_match_reference():
     for _ in range(500):
         vass = random_counter_game(rng, rng.randint(1, 4), rng.randint(0, 2), single_sided=True)
         phi = random_guarded_formula(rng, vass, depth=rng.randint(0, 4))
-        for g in subformulas(phi):
-            depth, free, _ = _alternation_depths(g)[id(g)]
+        subs, info = _closure(phi)
+        assert subs == reference_subformulas(phi)
+        for g in subs:
+            depth, free, _ = info[g]
             assert free == reference_free_vars(g)
             assert depth == reference_alternation_depth(g)
             assert _rename_apart(g) == reference_rename_apart(g)
-        assert subformulas(phi) == reference_subformulas(phi)
         game, root_of = mucalc_game(vass, phi)
         ref, ref_root_of = reference_mucalc_game(vass, phi)
         assert game == ref

@@ -1,5 +1,6 @@
 """Finite parity solver against a brute-force strategy-enumeration oracle,
 and the polynomial strategy checker against the exhaustive one."""
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,11 @@ from helpers import (
     reference_solve_parity,
     reference_verify_strategy,
 )
+from test_stress import saturation_gadget
+from vassgames.bounded import SATURATE, capped_grid
+from vassgames.formats import parse_game
 from vassgames.parity import FiniteParityGame, solve_parity
+from vassgames.semantics import ENERGY
 
 
 def test_textbook_example():
@@ -101,10 +106,20 @@ def test_agrees_with_reference_zielonka():
         assert check_strategy(g, 1, s1, w1)
 
 
+def _gadget_grids():
+    # the saturation gadget's saturated energy grids at caps 1,024 and 2,048
+    # (4,121 and 8,217 vertices, 5 colors): Zielonka peels attractor after
+    # attractor there, which once nested one call per peel
+    game, _ = parse_game(saturation_gadget(18))
+    for cap in (1024, 2048):
+        roots = tuple((q, (cap,)) for q in game.state_names())
+        yield capped_grid(game, ENERGY, cap, SATURATE, roots)[0]
+
+
 def test_large_games_verify():
     rng = random.Random(41041)
-    for _ in range(100):
-        g = random_parity_game(rng, rng.randint(200, 2000), max_color=8, max_out=3)
+    randoms = (random_parity_game(rng, rng.randint(200, 2000), max_color=8, max_out=3) for _ in range(100))
+    for g in itertools.chain(randoms, _gadget_grids()):
         w0, w1, s0, s1 = solve_parity(g)
         assert w0 | w1 == set(range(len(g.vertices))) and not (w0 & w1)
         assert check_strategy(g, 0, s0, w0)
