@@ -136,7 +136,7 @@ def solve_capped(
     cap, mode, roots), keyed by (state name, value vector in game.counters
     order); they are the winners of the whole grid."""
     grid, configs = capped_grid(game, semantics, cap, mode, roots, budget)
-    w0, _, _, _ = solve_parity(grid)
+    w0, _, _, _ = solve_parity(grid, budget)
     names = game.state_names()
     return {(names[s], vec): 0 if v in w0 else 1 for v, (s, vec) in enumerate(configs, 2)}
 

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for any decided verdict (including Player-1 wins), 2 for
-errors, 3 when the solver could not decide within its budgets or hit the
-recursion limit.
+errors, 3 when the solver could not decide within its budgets or a formula
+nests past the recursion limit.
 """
 from __future__ import annotations
 

@@ -274,12 +274,8 @@ class PartialConfig:
 
 def leq(a: PartialConfig, b: PartialConfig) -> bool:
     """Componentwise order; comparable only on same state and same domain."""
-    if a.state != b.state:
-        return False
-    if a.dom != b.dom:
-        return False
-    bv = dict(b.items)
-    return all(v <= bv[c] for c, v in a.items)
+    same = a.state == b.state and len(a.items) == len(b.items)  # items are sorted by counter
+    return same and all(c == d and x <= y for (c, x), (d, y) in zip(a.items, b.items))
 
 
 class Antichain:

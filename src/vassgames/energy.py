@@ -255,7 +255,7 @@ def solve_abstract_energy_parity(
             tuple([(s.owner, s.color) for s in game.states]),
             tuple([tuple([dst for dst, _, _ in ms]) for ms in moves]),
         )
-        w0, _, _, _ = solve_parity(fg)
+        w0, _, _, _ = solve_parity(fg, budget, ABSTRACT)
         return {s.name: (0 if v in w0 else 1) for v, s in enumerate(game.states)}
 
     fixed_edges, p1_choices = _edges(game)
@@ -270,7 +270,7 @@ def solve_abstract_energy_parity(
         while cap <= MAX_CAP and n * (cap + 1) ** k <= budget.node_budget:
             roots = tuple((q, (cap,) * k) for q in game.state_names())
             grid, configs = capped_grid(game, ENERGY, cap, SATURATE, roots, budget, ABSTRACT)
-            w0, _, _, s1 = solve_parity(grid)
+            w0, _, _, s1 = solve_parity(grid, budget, ABSTRACT)
             sure.update(q for q in range(n) if q + 2 in w0)
             top: Dict[int, Tuple[int, int]] = {}  # state -> (value sum, vertex) of its largest Player-1 win
             for v, (s, vec) in enumerate(configs, 2):

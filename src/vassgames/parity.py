@@ -1,4 +1,4 @@
-"""Finite parity games: Zielonka's recursive solver with strategy extraction.
+"""Finite parity games: Zielonka's algorithm with strategy extraction.
 
 Vertices are the integers 0..n-1: vertices[v] is v's (owner, color) and
 succ[v] the tuple of its successors.  Callers number their vertices
@@ -10,12 +10,12 @@ Every vertex must have at least one outgoing edge.
 
 solve_parity marks subgames in place instead of copying vertex sets: the
 bytearray alive holds 1 for each vertex of the subgame being solved.  A
-recursive call on the subgame minus an attractor clears the attractor's
-vertices in alive and sets them again when it returns, so each call holds
-only the list of its own vertices.  Zielonka's second recursive call, on
-the subgame minus the opponent's attractor, is the next turn of a loop
-instead: the attractors peeled in the loop stay cleared until the call
-returns, so calls nest once per color, not once per peeled attractor.
+call on the subgame minus an attractor clears the attractor's vertices in
+alive and sets them again when it returns, so each call holds only the
+list of its own vertices.  solve is Zielonka's definition with its two
+recursive calls written as yields: one loop keeps the calls in progress on
+an explicit stack, so no Python frame is spent per nested call, and it
+checks the deadline of budget, if given, before each call.
 Each attractor marks its members with a stamp of its own and counts an
 opponent vertex's alive successors the first time it reaches that vertex
 (Friedmann & Lange, "Solving parity games in practice", ATVA 2009).
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Generator, List, Optional, Tuple
+
+from .core import Budget
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,12 @@ class FiniteParityGame:
                 raise ValueError("vertex %d has an edge to an unknown vertex" % v)
 
 
-def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int], Dict[int, int], Dict[int, int]]:
+def solve_parity(
+    game: FiniteParityGame, budget: Optional[Budget] = None, layer: str = "capped bracket oracle"
+) -> Tuple[FrozenSet[int], FrozenSet[int], Dict[int, int], Dict[int, int]]:
     """Zielonka's algorithm.  Returns (W0, W1, s0, s1) where s_i maps each
     vertex of player i in W_i to the successor of a positional strategy
-    winning on W_i."""
+    winning on W_i.  Raises BudgetExceeded naming layer past budget's deadline."""
     n = len(game.vertices)
     owner = [o for o, _ in game.vertices]
     color = [c for _, c in game.vertices]
@@ -86,50 +90,49 @@ def solve_parity(game: FiniteParityGame) -> Tuple[FrozenSet[int], FrozenSet[int]
                 attr.append(v)
         return attr
 
-    def solve(sub: List[int]) -> Tuple[List[List[int]], List[Dict[int, int]]]:
-        """Winning regions W and strategies S of sub, indexed by player."""
-        peeled: List[Tuple[int, List[int], Dict[int, int]]] = []  # (player, attractor, its strategy)
-        while True:
-            if not sub:
-                W, S = [[], []], [{}, {}]
-                break
-            d = max([color[v] for v in sub])
-            i = d % 2
-            if d == 0:
-                # all colors 0: Player 0 wins everywhere, any choice staying in sub
-                W, S = [sub, []], [{v: min(w for w in succ[v] if alive[w]) for v in sub if owner[v] == 0}, {}]
-                break
-            top = [v for v in sub if color[v] == d]
-            strat_i: Dict[int, int] = {}
-            a = attractor(top, i, strat_i)
-            for v in a:
-                alive[v] = 0
-            W, S = solve([v for v in sub if alive[v]])
-            for v in a:
-                alive[v] = 1
-            if not W[1 - i]:
-                # player i wins all of sub
-                W[i] = sub
-                S[i].update(strat_i)
-                for v in top:
-                    if owner[v] == i and v not in S[i]:
-                        S[i][v] = min(w for w in succ[v] if alive[w])
-                break
-            # the opponent wins its attractor to W[1 - i]; solve the rest next turn
-            strat_o = S[1 - i]
-            b = attractor(W[1 - i], 1 - i, strat_o)
-            for v in b:
-                alive[v] = 0
-            peeled.append((1 - i, b, strat_o))
-            sub = [v for v in sub if alive[v]]
-        # innermost first, the order of Zielonka's nested calls: the order of
-        # W's lists decides which successors the caller's attractors record
-        for o, b, strat_o in reversed(peeled):
-            for v in b:
-                alive[v] = 1
-            W[o] += b
-            S[o].update(strat_o)
+    def solve(sub: List[int]) -> Generator:
+        """W and S of sub, indexed by player; yields subgames to solve, sent back their (W, S)."""
+        if not sub:
+            return [[], []], [{}, {}]
+        d = max([color[v] for v in sub])
+        i = d % 2
+        top = [v for v in sub if color[v] == d]
+        strat_i: Dict[int, int] = {}
+        a = attractor(top, i, strat_i)
+        for v in a:
+            alive[v] = 0
+        W, S = yield [v for v in sub if alive[v]]
+        for v in a:
+            alive[v] = 1
+        if not W[1 - i]:
+            # player i wins all of sub
+            W[i] = sub
+            S[i].update(strat_i)
+            for v in top:
+                if owner[v] == i and v not in S[i]:
+                    S[i][v] = min(w for w in succ[v] if alive[w])
+            return W, S
+        strat_o = S[1 - i]
+        b = attractor(W[1 - i], 1 - i, strat_o)
+        for v in b:
+            alive[v] = 0
+        W, S = yield [v for v in sub if alive[v]]
+        for v in b:
+            alive[v] = 1
+        W[1 - i] += b
+        S[1 - i].update(strat_o)
         return W, S
 
-    W, S = solve(list(range(n)))
+    stack, result = [solve(list(range(n)))], None  # the calls in progress, innermost last
+    while stack:
+        try:
+            stack.append(solve(stack[-1].send(result)))
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            result = None
+            if budget is not None:
+                budget.check_time(layer)
+    W, S = result
     return frozenset(W[0]), frozenset(W[1]), S[0], S[1]

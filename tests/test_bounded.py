@@ -131,8 +131,8 @@ def test_agrees_with_reference_solve_capped(monkeypatch):
     games = {bounded: [], helpers: []}
     for module, record in games.items():
 
-        def recording(fg, record=record):
-            solved = solve_parity(fg)
+        def recording(fg, *args, record=record):
+            solved = solve_parity(fg, *args)
             record.append((fg, solved))
             return solved
 

@@ -38,6 +38,18 @@ class TestPareto:
         assert "budget" in payload
 
 
+@pytest.fixture
+def chain_game(tmp_path):
+    # a 1,200-vertex chain v -> v, v+1 with color v and owner v % 2:
+    # Zielonka nests one call per color, 1,200 deep
+    lines = ["state v%d owner=%d color=%d" % (v, v % 2, v) for v in range(1200)]
+    lines += ["trans a%d: v%d nop v%d" % (v, v, v) for v in range(1200)]
+    lines += ["trans b%d: v%d nop v%d" % (v, v, v + 1) for v in range(1199)]
+    p = tmp_path / "chain.game"
+    p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
 class TestExitCodes:
     def test_deadlock_is_an_error_without_repair(self, capsys, tmp_path):
         p = tmp_path / "drain.game"
@@ -255,17 +267,22 @@ class TestExitCodes:
         assert code == 0
         assert all(v == [] for v in json.loads(out)["frontier"].values())
 
-    @pytest.mark.parametrize("command", [["solve-abstract"], ["oracle", "--config", "v0"]])
-    def test_recursion_limit_is_unknown(self, capsys, tmp_path, command):
-        # a 1,200-vertex chain v -> v, v+1 with color v and owner v % 2:
-        # Zielonka recurses once per color
-        lines = ["state v%d owner=%d color=%d" % (v, v % 2, v) for v in range(1200)]
-        lines += ["trans a%d: v%d nop v%d" % (v, v, v) for v in range(1200)]
-        lines += ["trans b%d: v%d nop v%d" % (v, v, v + 1) for v in range(1199)]
-        p = tmp_path / "chain.game"
-        p.write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli(capsys, command[0], str(p), *command[1:])
-        assert code == 3 and err.startswith("unknown: recursion limit hit")
+    def test_deep_parity_chain_decided(self, capsys, chain_game):
+        # each vertex wins for the owner of its color by its own loop
+        code, out, _ = run_cli(capsys, "solve-abstract", chain_game)
+        assert code == 0
+        assert out.splitlines() == ["v%d: player%d" % (v, v % 2) for v in range(1200)]
+
+    @pytest.mark.parametrize("command, layer", [
+        (["solve-abstract"], "abstract energy parity solver"),
+        (["oracle", "--config", "v0"], "capped bracket oracle"),
+    ], ids=["solve-abstract", "oracle"])
+    def test_deadline_stops_zielonka(self, capsys, chain_game, command, layer):
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, command[0], chain_game, *command[1:], "--time-budget-ms", "500")
+        assert code == 3 and out == ""
+        assert err.startswith("unknown: time budget exceeded in " + layer)
+        assert time.monotonic() - t0 < 1.5
 
     def test_deep_formula_is_unknown(self, capsys, tmp_path):
         f = tmp_path / "deep.mu"

@@ -2,6 +2,7 @@
 and the polynomial strategy checker against the exhaustive one."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from helpers import (
 )
 from test_stress import saturation_gadget
 from vassgames.bounded import SATURATE, capped_grid
+from vassgames.core import Budget, BudgetExceeded
 from vassgames.formats import parse_game
 from vassgames.parity import FiniteParityGame, solve_parity
 from vassgames.semantics import ENERGY
@@ -116,14 +118,30 @@ def _gadget_grids():
         yield capped_grid(game, ENERGY, cap, SATURATE, roots)[0]
 
 
+def _reversed_chain(n):
+    # v -> v, v-1 with color 2v and owner v % 2: Player 0 wins everywhere,
+    # and Zielonka nests one call per color, n deep
+    succ = tuple((v, v - 1) if v else (v,) for v in range(n))
+    return FiniteParityGame(tuple((v % 2, 2 * v) for v in range(n)), succ)
+
+
 def test_large_games_verify():
     rng = random.Random(41041)
     randoms = (random_parity_game(rng, rng.randint(200, 2000), max_color=8, max_out=3) for _ in range(100))
-    for g in itertools.chain(randoms, _gadget_grids()):
+    for g in itertools.chain(randoms, _gadget_grids(), [_reversed_chain(3000)]):
         w0, w1, s0, s1 = solve_parity(g)
         assert w0 | w1 == set(range(len(g.vertices))) and not (w0 & w1)
         assert check_strategy(g, 0, s0, w0)
         assert check_strategy(g, 1, s1, w1)
+    assert w0 == set(range(3000))  # the last game, the reversed chain
+
+
+def test_expired_deadline_names_its_layer():
+    expired = Budget(deadline=time.monotonic() - 1.0)
+    with pytest.raises(BudgetExceeded, match="time budget exceeded in abstract energy parity solver"):
+        solve_parity(_reversed_chain(3), expired, "abstract energy parity solver")
+    with pytest.raises(BudgetExceeded, match="time budget exceeded in capped bracket oracle"):
+        solve_parity(_reversed_chain(3), expired)
 
 
 def _verdict(verify, g, player, choice, region):

@@ -56,3 +56,26 @@ def test_saturation_gadget(capsys, tmp_path, fan):
     assert code == 0
     assert out.splitlines() == ["goal: (c=0)"] + ["p%d: (c=0)" % i for i in range(fan)]
     assert elapsed < 10.0
+
+
+def parity_chain(n):
+    """States q0..q{n-1}, q_v of owner v % 2 and color 2v, each with a loop
+    and q_v with a move to q_{v-1}.  Every color is even, so Player 0 wins
+    everywhere; Zielonka nests one call per color, n deep."""
+    lines = ["state q%d owner=%d color=%d" % (v, v % 2, 2 * v) for v in range(n)]
+    lines += ["trans a%d: q%d nop q%d" % (v, v, v) for v in range(n)]
+    lines += ["trans b%d: q%d nop q%d" % (v, v, v - 1) for v in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [3000])
+def test_parity_chain(capsys, tmp_path, n):
+    path = tmp_path / "chain.game"
+    path.write_text(parity_chain(n))
+    t0 = time.monotonic()
+    code = cli.main(["solve-abstract", str(path)])
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == ["q%d: player0" % v for v in range(n)]
+    assert elapsed < 10.0
