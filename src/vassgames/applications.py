@@ -157,34 +157,41 @@ def check_weaksim(
 # mu-calculus
 
 
-@dataclass(frozen=True)
+def _formula(cls: type) -> type:
+    """A frozen dataclass that stores its hash, made from its children's stored hashes."""
+    cls.__post_init__ = lambda self: object.__setattr__(self, "_hash", hash((cls,) + tuple(vars(self).values())))
+    cls.__hash__ = lambda self: self._hash
+    return dataclass(frozen=True)(cls)
+
+
+@_formula
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@_formula
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_formula
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_formula
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_formula
 class Diamond:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_formula
 class GuardedBox:
     """The single-sided-safe box: 'at a Player-1 state, all successors
     satisfy the body' (written  P1 /\\ [] body)."""
@@ -192,13 +199,13 @@ class GuardedBox:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_formula
 class Mu:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_formula
 class Nu:
     var: str
     body: "Formula"

@@ -280,17 +280,18 @@ def leq(a: PartialConfig, b: PartialConfig) -> bool:
 
 class Antichain:
     """A set of pairwise incomparable partial configs (minimal elements of an
-    upward closed set).  Immutable; insert returns a new antichain."""
+    upward closed set), kept as a tuple, which takes a quarter of the memory
+    of a small frozenset.  Immutable; insert returns a new antichain."""
 
     __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[PartialConfig] = ()):
-        elems = frozenset(elements)
+        elems = tuple(dict.fromkeys(elements))
         for a in elems:
             for b in elems:
                 if a != b and leq(a, b):
                     raise ValueError("antichain elements comparable: %s <= %s" % (a, b))
-        self.elements: FrozenSet[PartialConfig] = elems
+        self.elements: Tuple[PartialConfig, ...] = elems
 
     def insert(self, gamma: PartialConfig) -> "Antichain":
         kept = [e for e in self.elements if not leq(gamma, e)]
@@ -298,7 +299,7 @@ class Antichain:
             if leq(e, gamma):
                 return self
         ac = Antichain.__new__(Antichain)
-        ac.elements = frozenset(kept + [gamma])
+        ac.elements = tuple(kept + [gamma])
         return ac
 
     def covers(self, gamma: PartialConfig) -> bool:
@@ -312,10 +313,10 @@ class Antichain:
         return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Antichain) and self.elements == other.elements
+        return isinstance(other, Antichain) and set(self.elements) == set(other.elements)
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash(frozenset(self.elements))
 
     def __repr__(self) -> str:
         return "Antichain({%s})" % ", ".join(sorted(str(e) for e in self.elements))

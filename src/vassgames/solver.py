@@ -5,18 +5,19 @@ The solver works by induction on the tracked counter subset C:
 * C = {}: the abstract verdict per state, which for single-sided games equals
   the abstract energy parity verdict.
 * C nonempty: membership of a configuration with domain C is decided by
-  unfolding the game into a finite "out-game" whose states carry labels over
-  C (a Karp-Miller style construction, finite by Dickson's lemma) and whose
+  unfolding the game into a finite "out-game" whose states carry labels over C
+  (a Karp-Miller style construction, finite by Dickson's lemma) and whose
   counters are the untracked ones; leaves are recolored losing when the label
   drops out of the smaller frontiers (coverability test against their union
-  beta) and winning when a label strictly dominates one of its ancestors.
-  The out-game is emitted in the pass that unfolds it, nodes being expanded
-  in the order they are created.  The frontier itself is then recovered
+  beta) and winning when a label strictly dominates one of its ancestors.  The
+  out-games of one layer C share one label index, which tests each label's
+  coverage and steps it once, and a node's ancestors are read off the tree its
+  strongly connected components form.  The frontier itself is then recovered
   from the membership oracle, Valk-Jantzen style, by a worklist of downward
-  closed boxes that still may hold frontier elements.  A box meets the
-  upward closed winning set iff its corner does, so one probe decides a
-  box; a positive corner is lowered to a minimal element in one pass over
-  the counters, and the boxes containing that element are cut just below it.
+  closed boxes that still may hold frontier elements.  A box meets the upward
+  closed winning set iff its corner does, so one probe decides a box; a
+  positive corner is lowered to a minimal element in one pass over the
+  counters, and the boxes containing that element are cut just below it.
 """
 from __future__ import annotations
 
@@ -43,27 +44,50 @@ from .semantics import vass_step
 EXTRACT_LIMIT = 4096  # safety cap when probing a single coordinate upward
 
 
-Key = Tuple[str, Tuple[int, ...]]  # a label over C: its state and values in sorted counter order
+class _Label:
+    """One label of a LabelIndex."""
+
+    __slots__ = ("num", "cfg", "vals", "leaf", "succ")
+
+    def __init__(self, num: int, cfg: PartialConfig, vals: Tuple[int, ...], leaf: Optional[int]):
+        self.num, self.cfg, self.vals, self.leaf, self.succ = num, cfg, vals, leaf, None
 
 
-def _coverage(beta: Iterable[PartialConfig], C: FrozenSet[str]) -> Callable[[str, Tuple[int, ...]], bool]:
-    """The coverage test for labels over C, with beta grouped once by
-    (state, domain) into value tuples; elements of other domains are never
-    looked up."""
-    index: Dict[Tuple[str, FrozenSet[str]], List[Tuple[int, ...]]] = {}
-    for b in beta:
-        index.setdefault((b.state, b.dom), []).append(tuple(v for _, v in b.items))
-    names = sorted(C)
-    drops = [frozenset(names[:i] + names[i + 1:]) for i in range(len(names))]
+class LabelIndex:
+    """The labels over C of one layer, numbered as they are met and shared
+    by its out-games.  Each keeps its values, its leaf color (1 if beta does
+    not cover it, tested once; else None) and, once a node with it expands,
+    its successors (label number, out-game op, original tid), stepped once
+    by vass_step.  Labels refer to each other by number only, so a dropped
+    index is freed at once."""
 
-    def covered(state: str, vals: Tuple[int, ...]) -> bool:
-        for i, dom in enumerate(drops):
-            rest = vals[:i] + vals[i + 1:]
-            if not any(all(x <= y for x, y in zip(b, rest)) for b in index.get((state, dom), ())):
-                return False
-        return True
+    def __init__(self, game: IntegerGame, C: FrozenSet[str], beta: Iterable[PartialConfig]):
+        self.game, self.C, self.beta = game, C, list(beta)
+        self.number: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+        self.labels: List[_Label] = []
+        self.beta_of: Dict[Tuple[str, FrozenSet[str]], List[Tuple[int, ...]]] = {}
+        for b in self.beta:
+            self.beta_of.setdefault((b.state, b.dom), []).append(tuple(v for _, v in b.items))
+        self.drops = [C - {c} for c in sorted(C)]
 
-    return covered
+    def covered(self, state: str, vals: Tuple[int, ...]) -> bool:
+        """Is the label covered by beta, each drop of one counter by beta's elements of its domain?"""
+        return all(any(all(x <= y for x, y in zip(b, vals[:i] + vals[i + 1:]))
+                       for b in self.beta_of.get((state, dom), ())) for i, dom in enumerate(self.drops))
+
+    def label(self, cfg: PartialConfig) -> int:
+        key = (cfg.state, tuple(v for _, v in cfg.items))
+        if key not in self.number:
+            self.number[key] = len(self.labels)
+            self.labels.append(_Label(len(self.labels), cfg, key[1], None if self.covered(*key) else 1))
+        return self.number[key]
+
+    def successors(self, lab: _Label) -> List[Tuple[int, CounterOp, str]]:
+        if lab.succ is None:
+            steps = [(vass_step(self.game, lab.cfg, t.tid), t) for t in self.game.out(lab.cfg.state)]
+            lab.succ = [(self.label(nxt), NOP_OP if t.op.counter in self.C else t.op, t.tid)
+                        for nxt, t in steps if nxt is not None]
+        return lab.succ
 
 
 @dataclass
@@ -81,101 +105,97 @@ def build_out_game(
     gamma: PartialConfig,
     beta: Iterable[PartialConfig],
     budget: Optional[Budget] = None,
+    index: Optional[LabelIndex] = None,
 ) -> OutGame:
     """Unfold the game from gamma (domain C nonempty) into a finite game over
-    the untracked counters.
+    the untracked counters; the out-games of one layer may share index, the
+    label index of C over the same beta.
 
-    Nodes are labeled with configurations of domain C and expanded in
-    breadth-first order.  A node whose label is not covered by beta becomes a
-    losing (color 1) leaf; beta is indexed once by state and domain, so a
-    label is tested only against its own state's elements.  A node whose
-    label strictly dominates an ancestor's becomes a winning (color 0) leaf;
-    the walk back over the predecessor lists stops at the first such
-    ancestor.  Other nodes expand along the VASS-enabled transitions,
-    rewriting updates of tracked counters to Nop, and merge with the earliest
-    created ancestor carrying an equal label, found through a dict from
-    labels to their nodes, instead of growing a new branch.
-
-    The out-game is emitted in the same pass: nodes are expanded in the order
-    they are created, so node n's State, appended when n is expanded and its
-    leaf color known, lands at position n, and each edge becomes its
-    Transition as it is made."""
+    Nodes are labeled with configurations of domain C and expanded in the order
+    they are created, the order the out-game lists them in.  A node whose label
+    beta does not cover becomes a losing (color 1) leaf, one whose label
+    strictly dominates an ancestor's a winning (color 0) leaf.  Other nodes
+    expand along the VASS-enabled transitions, rewriting updates of tracked
+    counters to Nop, and merge with the earliest node carrying an equal label
+    among themselves and their ancestors: every node with a path to them, not
+    only their branch.  Each precedes them on some play, so a label below
+    theirs is a pumping witness as on the branch, and the out-games are several
+    times smaller.  An expanding node's one in-edge comes from its creator, as
+    a merge edge u -> v needs v = u or v an ancestor of u.  Each merge edge
+    u -> v closes a cycle v ~> u -> v, so the strongly connected components
+    form a tree under the creation edges, each entered only by its earliest
+    node's creation edge; merging the components on the path from u's up to v's
+    keeps it so.  The ancestors of q are thus the members of the components
+    from its creator's up to the root's.  Union-find keeps the components,
+    rooted at their earliest node, each with a bit mask of its members (bit n
+    for node n; kept once a component has two), and each label has a mask of
+    the nodes carrying it."""
     budget = budget or Budget()
     C = gamma.dom
     if not C:
         raise ValueError("build_out_game needs a nonempty tracked domain")
-    covered = _coverage(beta, C)
-    counters_out = tuple(c for c in game.counters if c not in C)
-
-    labels: List[PartialConfig] = []
-    keys: List[Key] = []
-    names: List[str] = []
-    nodes_of: Dict[Key, List[int]] = {}  # label -> its nodes in creation order
-    preds: List[List[int]] = []
+    index = index or LabelIndex(game, C, beta)
+    nodes: List[_Label] = []
+    creator: List[int] = []  # -1 for the root
+    up: List[int] = []  # union-find links
+    members: Dict[int, int] = {}  # at each root of a component of two or more nodes, their mask
+    holders: Dict[int, int] = {}  # label number -> mask of the nodes carrying it
+    present: Dict[str, List[_Label]] = {}  # per state, the labels its nodes carry
     states: List[State] = []
-    transitions: List[Transition] = []
-    origin: Dict[str, Optional[str]] = {}
+    edges: List[Tuple[int, int, CounterOp, Optional[str]]] = []  # source, target, op, original tid
 
-    def new_node(label: PartialConfig, key: Key) -> int:
-        if len(labels) >= budget.node_budget:
+    def new_node(lab: _Label, parent: int) -> int:
+        n = len(nodes)
+        if n >= budget.node_budget:
             raise BudgetExceeded("out-game node budget exceeded")
-        n = len(labels)
-        labels.append(label)
-        keys.append(key)
-        names.append("n%d" % n)
-        nodes_of.setdefault(key, []).append(n)
-        preds.append([])
+        nodes.append(lab)
+        creator.append(parent)
+        up.append(n)
+        if lab.num not in holders:
+            present.setdefault(lab.cfg.state, []).append(lab)
+        holders[lab.num] = holders.get(lab.num, 0) | 1 << n
         return n
 
-    def add_edge(src: int, dst: int, op: CounterOp, orig: Optional[str]) -> None:
-        tid = "e%d" % len(transitions)
-        transitions.append(Transition(tid, names[src], op, names[dst]))
-        origin[tid] = orig
-        preds[dst].append(src)
+    def find(n: int) -> int:
+        while up[n] != n:
+            up[n] = n = up[up[n]]
+        return n
 
-    new_node(gamma, (gamma.state, tuple(v for _, v in gamma.items)))
-    for q, label in enumerate(labels):  # labels grows while it is walked
+    new_node(index.labels[index.label(gamma)], -1)
+    for q, lab in enumerate(nodes):  # nodes grows while it is walked
         if q % 64 == 63:
             budget.check_time("out-game unfolding")
-        state, vals = keys[q]
-        leaf = None if covered(state, vals) else 1  # q's leaf color; None if q expands
-        # The ancestors of q are every node with a path to q in the out-game
-        # built so far, not only q's branch of the unfolding tree.  Every such
-        # node is reachable from the root, so it precedes q on some play and a
-        # label below q's is a pumping witness as on the branch.  Merges make
-        # many paths into q, and the wider set lets merges and winning leaves
-        # fire sooner: the branch alone gave the same frontiers on random
-        # games but out-games several times larger, slower and heavier in
-        # memory.  The walk stops at the first ancestor q dominates; when
-        # there is none it has visited every ancestor, which the merges need.
-        seen = {q}
-        stack = [q] if leaf is None else []
-        while stack and leaf is None:
-            for u in preds[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    s, v = keys[u]
-                    if s == state and v != vals and all(x <= y for x, y in zip(v, vals)):
-                        leaf = 0
-                        break
-                    stack.append(u)
-        st = game.state(state)
-        states.append(State(names[q], st.owner, st.color if leaf is None else leaf))
+        anc, r, leaf = 0, creator[q], lab.leaf
+        while r >= 0 and leaf is None:  # the components from the creator's up
+            r = find(r)
+            anc, r = anc | (members.get(r) or 1 << r), creator[r]
+        if leaf is None and any(holders[o.num] & anc and all(x <= y for x, y in zip(o.vals, lab.vals))
+                                for o in present[lab.cfg.state] if o is not lab):
+            leaf = 0
+        st = game.state(lab.cfg.state)
+        states.append(State("n%d" % q, st.owner, st.color if leaf is None else leaf))
         if leaf is not None:
-            add_edge(q, q, NOP_OP, None)
+            edges.append((q, q, NOP_OP, None))
             continue
-        for t in game.out(state):
-            nxt = vass_step(game, label, t.tid)
-            if nxt is None:
-                continue
-            key = (nxt.state, tuple(v for _, v in nxt.items))
-            target = next((n for n in nodes_of.get(key, ()) if n in seen), None)
-            if target is None:
-                target = new_node(nxt, key)
-            add_edge(q, target, NOP_OP if t.op.counter in C else t.op, t.tid)
+        anc |= 1 << q
+        for num, op, tid in index.successors(lab):
+            hit = holders.get(num, 0) & anc
+            if hit:
+                target = (hit & -hit).bit_length() - 1
+                r, top = find(q), find(target)
+                while r != top:  # merge the components from q's up to the target's
+                    up[r] = parent = find(creator[r])
+                    members[parent] = (members.get(parent) or 1 << parent) | (members.pop(r, 0) or 1 << r)
+                    r = parent
+            else:
+                target = new_node(index.labels[num], q)
+            edges.append((q, target, op, tid))
 
-    out_game = IntegerGame(counters_out, tuple(states), tuple(transitions))
-    return OutGame(out_game, names[0], dict(zip(names, labels)), origin)
+    tids = ["e%d" % i for i in range(len(edges))]
+    transitions = tuple(Transition(tid, states[s].name, op, states[t].name) for tid, (s, t, op, _) in zip(tids, edges))
+    out_game = IntegerGame(tuple(c for c in game.counters if c not in C), tuple(states), transitions)
+    return OutGame(out_game, "n0", {st.name: lab.cfg for st, lab in zip(states, nodes)},
+                   {tid: e[3] for tid, e in zip(tids, edges)})
 
 
 class ParetoTable:
@@ -192,27 +212,27 @@ class ParetoTable:
         self.budget = budget or Budget()
         self._frontiers: Dict[FrozenSet[str], Dict[str, Antichain]] = {}
         self._query_cache: Dict[PartialConfig, bool] = {}
+        self._indexes: Dict[FrozenSet[str], LabelIndex] = {}
 
     def _beta(self, C: FrozenSet[str]) -> List[PartialConfig]:
-        beta: List[PartialConfig] = []
-        for c in sorted(C):
-            for ac in self.frontier(C - {c}).values():
-                beta.extend(ac)
-        return beta
+        return [b for c in sorted(C) for ac in self.frontier(C - {c}).values() for b in ac]
 
     def membership(self, gamma: PartialConfig) -> bool:
         """Does gamma lie in the Player-0 winning set with its own domain
         tracked, that is, can Player 0 win from gamma with some credit on
         the counters gamma leaves undefined?  An empty domain, or one whose
-        frontier is stored, is read off that frontier; any other domain is
-        decided by one cached out-game over it.  While frontier(C) runs,
-        every proper subset of C is stored and C is not, so its
-        Valk-Jantzen probes read the smaller frontiers and build out-games
-        only for corners over C."""
-        if not gamma.dom or gamma.dom in self._frontiers:
-            return self.frontier(gamma.dom)[gamma.state].covers(gamma)
+        frontier is stored, is read off that frontier; any other domain C is
+        decided by one cached out-game over it, and the out-games over C
+        share one label index.  While frontier(C) runs, every proper subset
+        of C is stored and C is not, so its Valk-Jantzen probes build
+        out-games only for corners over C."""
+        C = gamma.dom
+        if not C or C in self._frontiers:
+            return self.frontier(C)[gamma.state].covers(gamma)
         if gamma not in self._query_cache:
-            out = build_out_game(self.game, gamma, self._beta(gamma.dom), self.budget)
+            if C not in self._indexes:
+                self._indexes[C] = LabelIndex(self.game, C, self._beta(C))
+            out = build_out_game(self.game, gamma, self._indexes[C].beta, self.budget, self._indexes[C])
             self._query_cache[gamma] = solve_abstract_energy_parity(out.game, self.budget)[out.root] == 0
         return self._query_cache[gamma]
 

@@ -188,6 +188,23 @@ class TestAlternation:
         assert game.state(root_of("q")).color == n
 
 
+class TestFormulaHash:
+    def test_deep_chain_hashes_without_recursion(self):
+        # built bottom-up, since the parser still recurses once per level;
+        # a hash that rehashes the subtree fails here with RecursionError
+        f = Atom("q")
+        for _ in range(2000):
+            f = Or(Diamond(f), Atom("q"))
+        assert hash(f) == hash(f)
+        assert {f: 1}[f] == 1
+
+    def test_equal_formulas_hash_equal(self):
+        for text in ("mu X . <> (X \\/ nu Y . <> Y)", "P1 /\\ [] (a /\\ <> b)", "nu X . mu Y . (<> Y \\/ <> X)"):
+            assert parse_formula(text) is not parse_formula(text)
+            assert hash(parse_formula(text)) == hash(parse_formula(text))
+        assert hash(Atom("a")) != hash(Var("a")) and Atom("a") != Var("a")
+
+
 class TestModelCheck:
     def test_unguarded_box_rejected(self):
         with pytest.raises(ValueError, match=r"unguarded box is not single-sided safe; use P1 /\\ \[\] f"):

@@ -29,9 +29,9 @@ from vassgames.core import (
 from vassgames import solver
 from vassgames.semantics import VASS, vass_step
 from vassgames.solver import (
+    LabelIndex,
     OutGame,
     ParetoTable,
-    _coverage,
     build_out_game,
     pareto_single_sided_vass,
     vj_minimize,
@@ -54,7 +54,7 @@ def pc(state, **vals):
 
 
 def covered_by(beta, gamma):
-    return _coverage(beta, gamma.dom)(gamma.state, tuple(v for _, v in gamma.items))
+    return LabelIndex(G1, gamma.dom, beta).covered(gamma.state, tuple(v for _, v in gamma.items))
 
 
 class TestCoveredBy:
@@ -168,6 +168,59 @@ class TestOutGameAgainstReference:
         beta = ParetoTable(g)._beta(frozenset({"c1"}))
         gamma = pc("q0", c1=2)
         out = build_out_game(g, gamma, beta)
+        assert out == reference_build_out_game(g, gamma, beta)
+        assert out.labels["n7"] == out.labels["n10"] == pc("q1", c1=1)
+        loops = [t for t in out.game.out("n10") if out.origin[t.tid] == "t3"]
+        assert [t.target for t in loops] == ["n7"]
+
+
+class TestSharedIndexAgainstReference:
+    """The out-games of one layer share one LabelIndex, which keeps each
+    label's coverage and successors from earlier out-games; each must still
+    equal, field for field, what the reference builder makes from scratch."""
+
+    def test_layers_in_table_order(self, monkeypatch):
+        calls = []
+        build = solver.build_out_game
+
+        def recording(game, gamma, beta, budget=None, index=None):
+            out = build(game, gamma, beta, budget, index)
+            calls.append((gamma, list(beta), index, out))
+            return out
+
+        monkeypatch.setattr(solver, "build_out_game", recording)
+        total = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            if seed % 4 == 3:
+                g = random_credit_game(rng, rng.choice([1, 2]))
+            else:
+                g = random_counter_game(rng, rng.randint(2, 4), rng.choice([1, 2]), single_sided=True)
+            calls.clear()
+            table = ParetoTable(g)
+            table.frontier(frozenset(g.counters))
+            indexes = {}
+            for gamma, beta, index, out in calls:
+                assert index is not None and indexes.setdefault(gamma.dom, index) is index, (seed, str(gamma))
+                assert beta == table._beta(gamma.dom)
+                assert out == reference_build_out_game(g, gamma, beta), (seed, str(gamma))
+            total += len(calls)
+        assert total > 1500
+
+    def test_earliest_equal_label_through_a_used_index(self):
+        # seed 9's layer {c1}, with the index left by its whole frontier: the
+        # c2-increment loop at n10 still merges into the earlier n7
+        rng = random.Random(9)
+        g = random_counter_game(rng, rng.randint(2, 4), rng.choice([1, 2]), single_sided=True)
+        table = ParetoTable(g)
+        table.frontier(frozenset({"c1"}))
+        beta = table._beta(frozenset({"c1"}))
+        index = LabelIndex(g, frozenset({"c1"}), beta)
+        for q in g.state_names():
+            for v in range(4):
+                build_out_game(g, pc(q, c1=v), beta, index=index)
+        gamma = pc("q0", c1=2)
+        out = build_out_game(g, gamma, beta, index=index)
         assert out == reference_build_out_game(g, gamma, beta)
         assert out.labels["n7"] == out.labels["n10"] == pc("q1", c1=1)
         loops = [t for t in out.game.out("n10") if out.origin[t.tid] == "t3"]
