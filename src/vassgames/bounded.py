@@ -11,12 +11,14 @@ grid and bracket the unbounded verdict between two cap treatments.
   sink in both modes.
 
 capped_grid builds only the part of the grid reachable from the given root
-configurations.  Vertex 0 is the overflow sink and 1 the underflow sink, the
-roots follow in the given order, then every other configuration in the order
-a forward search over game.moves discovers it, and the stuck sinks come
-last.  The explored set is closed under moves, so every play from a root
-stays inside it: the game it induces is a subgame of the whole capped grid
-that neither player can leave, and each explored configuration has the same
+configurations.  The roots come first in the given order, then every other
+configuration in the order a forward search over game.moves discovers it,
+then at most two absorbing sinks, each made when a move first enters it:
+Player 0's (color 0) for an overflow under OVERFLOW_WINS_P0, Player 1's
+(color 1) for an energy underflow, and the opponent's for a stuck owner.
+The explored set is closed under moves, so every play from a root stays
+inside it: the game it induces is a subgame of the whole capped grid that
+neither player can leave, and each explored configuration has the same
 winner in both.  solve_capped solves that game for the oracle; the abstract
 energy parity solver (energy.py) builds the same saturated grids under
 energy semantics and reads both players' winning regions and Player 1's
@@ -50,7 +52,7 @@ def capped_grid(
     """The part of the cap-limited grid that some play from roots can reach,
     numbered as the module docstring says, and its configurations as (state
     index, value vector in game.counters order): configuration i is vertex
-    i + 2.  Roots are (state name, value vector) pairs with all values in
+    i.  Roots are (state name, value vector) pairs with all values in
     [0, cap]; a side with no enabled move loses.  Under energy semantics no
     move is disabled and, with SATURATE, none overflows, so each
     configuration's successors are its state's moves one for one.  The
@@ -67,7 +69,7 @@ def capped_grid(
 
     k = len(game.counters)
     index = {s.name: i for i, s in enumerate(game.states)}
-    # explored configurations, numbered from 2 and keyed by themselves
+    # explored configurations, numbered from 0 and keyed by themselves
     configs: List[Tuple[int, Tuple[int, ...]]] = []
     number: Dict[Tuple[int, Tuple[int, ...]], int] = {}
     for name, vec in roots:
@@ -75,13 +77,10 @@ def capped_grid(
             raise ValueError("root %r is not a configuration of the cap-%d grid" % ((name, vec), cap))
         conf = (index[name], tuple(vec))
         if conf not in number:
-            number[conf] = len(configs) + 2
+            number[conf] = len(configs)
             configs.append(conf)
-    # overflow wins for Player 0, underflow loses
-    vertices = [(0, 0), (0, 1)]
-    succ: List[Tuple[int, ...]] = [(0,), (1,)]
-    stuck_sink: Dict[int, int] = {}  # owner -> position among the stuck sinks
-    stuck: List[int] = []  # configurations with no enabled move
+    succ: List[Tuple[int, ...]] = []
+    entering: List[int] = []  # configurations moving into a sink, written ~winner until numbered
     moves = game.moves
     labels = [(st.owner, st.color) for st in game.states]
     for i, (s, vec) in enumerate(configs):  # grows while it is read
@@ -95,11 +94,11 @@ def capped_grid(
                 if nv < 0:
                     if semantics == VASS:
                         continue  # disabled
-                    out.append(1)
+                    out.append(~1)  # underflow: Player 1 wins
                     continue
                 if nv > cap:
                     if mode == OVERFLOW_WINS_P0:
-                        out.append(0)
+                        out.append(~0)
                         continue
                     # saturate: the value stays at cap
                 else:
@@ -107,20 +106,19 @@ def capped_grid(
             conf = (dst, nvec)
             w = number.get(conf)
             if w is None:
-                w = number[conf] = len(configs) + 2
+                w = number[conf] = len(configs)
                 configs.append(conf)
             out.append(w)
-        vertices.append(labels[s])
         if not out:
-            # stuck: the owner loses; the sink is numbered once all are known
-            stuck_sink.setdefault(labels[s][0], len(stuck_sink))
-            stuck.append(len(succ))
+            out.append(~(1 - labels[s][0]))  # stuck: the owner's opponent wins
+        if min(out) < 0:
+            entering.append(i)
         succ.append(tuple(out))
-    for v in stuck:
-        succ[v] = (len(succ) + stuck_sink[vertices[v][0]],)
-    for owner in stuck_sink:
-        vertices.append((0, 1 if owner == 0 else 0))
-        succ.append((len(succ),))
+    sink: Dict[int, int] = {}  # winner -> its sink vertex, in order of first use
+    for v in entering:
+        succ[v] = tuple(w if w >= 0 else sink.setdefault(~w, len(configs) + len(sink)) for w in succ[v])
+    vertices = [labels[s] for s, _ in configs] + [(0, w) for w in sink]
+    succ += [(v,) for v in sink.values()]
     return FiniteParityGame(tuple(vertices), tuple(succ)), configs
 
 
@@ -138,7 +136,7 @@ def solve_capped(
     grid, configs = capped_grid(game, semantics, cap, mode, roots, budget)
     w0, _, _, _ = solve_parity(grid, budget)
     names = game.state_names()
-    return {(names[s], vec): 0 if v in w0 else 1 for v, (s, vec) in enumerate(configs, 2)}
+    return {(names[s], vec): 0 if v in w0 else 1 for v, (s, vec) in enumerate(configs)}
 
 
 def bracket_decide(

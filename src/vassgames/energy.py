@@ -15,8 +15,8 @@ states Player 0 is proved to win, and win, the states that no Player-1
 strategy tried so far makes Player 0 lose.  Then sure = win is the answer.
 For caps K = 1, 2, 4, ..., MAX_CAP, while the grid fits in Budget.node_budget,
 bounded.capped_grid builds the saturated grid (increments clamp at K) under
-energy semantics from the roots (q, K, ..., K), and Zielonka's algorithm
-solves it:
+energy semantics from the roots (q, K, ..., K), which are its vertices
+0..n-1 in state order, and Zielonka's algorithm solves it:
 * q joins sure if (q, K, ..., K) is a grid win.  Saturation only ever
   lowers a counter, so the same strategy wins the real game with credit K.
 * the grid gives a positional sigma to try: at each Player-1 state,
@@ -271,9 +271,9 @@ def solve_abstract_energy_parity(
             roots = tuple((q, (cap,) * k) for q in game.state_names())
             grid, configs = capped_grid(game, ENERGY, cap, SATURATE, roots, budget, ABSTRACT)
             w0, _, _, s1 = solve_parity(grid, budget, ABSTRACT)
-            sure.update(q for q in range(n) if q + 2 in w0)
+            sure.update(q for q in range(n) if q in w0)  # root q is vertex q
             top: Dict[int, Tuple[int, int]] = {}  # state -> (value sum, vertex) of its largest Player-1 win
-            for v, (s, vec) in enumerate(configs, 2):
+            for v, (s, vec) in enumerate(configs):
                 if v in s1 and sum(vec) > top.get(s, (-1, 0))[0]:
                     top[s] = (sum(vec), v)
             sigma = []

@@ -2,8 +2,9 @@
 
 Vertices are the integers 0..n-1: vertices[v] is v's (owner, color) and
 succ[v] the tuple of its successors.  Callers number their vertices
-themselves (see bounded.capped_grid and IntegerGame.moves); winning sets
-and strategies are given in the same numbers.
+themselves (bounded.capped_grid numbers configurations from 0 and puts its
+sinks after them; IntegerGame.moves numbers states); winning sets and
+strategies are given in the same numbers.
 
 Player 0 wins a play iff the highest color seen infinitely often is even.
 Every vertex must have at least one outgoing edge.

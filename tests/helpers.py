@@ -811,9 +811,6 @@ def check_strategy(
 # vector) tuples.  bounded.solve_capped numbers them arithmetically and must
 # give the same winner at every configuration.
 
-_OVER = ("__overflow",)
-_UNDER = ("__underflow",)
-
 
 def _number_tuple_ids(vertices, edges) -> Tuple[FiniteParityGame, List[object]]:
     """Adapter from (id, owner, color) vertices and (id, id) edges to a
@@ -846,7 +843,11 @@ def reference_solve_capped(
     """Winner (0 or 1) of every configuration with all values in [0, cap].
 
     Configurations are keyed by (state, value vector in game.counters order).
-    A side with no enabled move loses.
+    A side with no enabled move loses.  The parity game numbers the
+    configurations from 0, states in declaration order and vectors in rank
+    order, then one absorbing sink per winner that some move enters, in
+    order of first use: the numbering bounded.capped_grid gives when every
+    configuration is a root (all_configurations).
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -861,9 +862,17 @@ def reference_solve_capped(
     k = len(counters)
     cidx = {c: i for i, c in enumerate(counters)}
 
-    vertices = [(_OVER, 0, 0), (_UNDER, 0, 1)]
-    edges = [(_OVER, _OVER), (_UNDER, _UNDER)]
-    stuck_sink = {}  # owner -> sink vertex, for configs with no enabled move
+    vertices = []
+    edges = []
+    sinks = []  # (id, owner, color) of each sink, in order of first use
+
+    def sink(winner: int):
+        # the absorbing sink Player winner wins, made on first use
+        sid = ("__sink", winner)
+        if (sid, 0, winner) not in sinks:
+            sinks.append((sid, 0, winner))
+            edges.append((sid, sid))
+        return sid
 
     def vectors(i: int):
         if i == 0:
@@ -892,7 +901,7 @@ def reference_solve_capped(
                 if nv < 0:
                     if semantics == VASS:
                         continue  # disabled
-                    edges.append((src, _UNDER))
+                    edges.append((src, sink(1)))
                     added = True
                     continue
                 if nv > cap:
@@ -900,21 +909,16 @@ def reference_solve_capped(
                         nv = cap
                         edges.append((src, (t.target, vec[:i] + (nv,) + vec[i + 1:])))
                     else:
-                        edges.append((src, _OVER))
+                        edges.append((src, sink(0)))
                     added = True
                     continue
                 edges.append((src, (t.target, vec[:i] + (nv,) + vec[i + 1:])))
                 added = True
             if not added:
                 # stuck: the owner loses
-                if s.owner not in stuck_sink:
-                    sink = ("__stuck", s.owner)
-                    stuck_sink[s.owner] = sink
-                    vertices.append((sink, 0, 1 if s.owner == 0 else 0))
-                    edges.append((sink, sink))
-                edges.append((src, stuck_sink[s.owner]))
+                edges.append((src, sink(1 - s.owner)))
 
-    fg, ids = _number_tuple_ids(vertices, edges)
+    fg, ids = _number_tuple_ids(vertices + sinks, edges)
     w0 = {ids[v] for v in solve_parity(fg)[0]}
     result: Dict[Tuple[str, Tuple[int, ...]], int] = {}
     for s in game.states:

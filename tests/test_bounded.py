@@ -160,7 +160,8 @@ def test_agrees_with_reference_solve_capped(monkeypatch):
 
 def test_rooted_grid_agrees_with_full_grid():
     # a grid explored from one configuration is closed under moves, so each
-    # configuration it reaches has its winner in the whole grid
+    # configuration it reaches has its winner in the whole grid; the grid
+    # holds nothing the root does not reach, and at most one sink per winner
     rng = random.Random(7117)
     compared = 0
     for i in range(90):
@@ -178,6 +179,18 @@ def test_rooted_grid_agrees_with_full_grid():
                     res = solve_capped(g, semantics, cap, mode, (root,))
                     assert root in res
                     assert {key: full[key] for key in res} == res
+                    grid, configs = bounded.capped_grid(g, semantics, cap, mode, (root,))
+                    reached, todo = {0}, [0]
+                    while todo:
+                        for w in grid.succ[todo.pop()]:
+                            if w not in reached:
+                                reached.add(w)
+                                todo.append(w)
+                    assert reached == set(range(len(grid.vertices)))
+                    sinks = range(len(configs), len(grid.vertices))
+                    assert len(sinks) <= 2
+                    assert all(grid.succ[v] == (v,) for v in sinks)
+                    assert len({grid.vertices[v][1] % 2 for v in sinks}) == len(sinks)
                     compared += 1
     assert compared > 5000
 

@@ -61,7 +61,9 @@ def test_saturation_gadget(capsys, tmp_path, fan):
 def parity_chain(n):
     """States q0..q{n-1}, q_v of owner v % 2 and color 2v, each with a loop
     and q_v with a move to q_{v-1}.  Every color is even, so Player 0 wins
-    everywhere; Zielonka nests one call per color, n deep."""
+    everywhere; Zielonka nests one call per color, n deep, both on the game
+    and on the capped grid the oracle builds from q{n-1}, which has no
+    counters to cap and so no sink."""
     lines = ["state q%d owner=%d color=%d" % (v, v % 2, 2 * v) for v in range(n)]
     lines += ["trans a%d: q%d nop q%d" % (v, v, v) for v in range(n)]
     lines += ["trans b%d: q%d nop q%d" % (v, v, v - 1) for v in range(1, n)]
@@ -78,4 +80,11 @@ def test_parity_chain(capsys, tmp_path, n):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines() == ["q%d: player0" % v for v in range(n)]
+    assert elapsed < 10.0
+    t0 = time.monotonic()
+    code = cli.main(["oracle", str(path), "--config", "q%d" % (n - 1)])
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == ["Win0"]
     assert elapsed < 10.0
