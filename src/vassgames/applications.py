@@ -5,8 +5,9 @@ guarded positive mu-calculus formulas on single-sided VASS.
 from __future__ import annotations
 
 import re as _re
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Generator, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .core import (
     Antichain,
@@ -18,6 +19,7 @@ from .core import (
     Transition,
     check_deadlock_free,
     complete_with_sinks,
+    drive,
     is_single_sided,
 )
 from .solver import ParetoTable
@@ -156,12 +158,16 @@ def check_weaksim(
 # ---------------------------------------------------------------------------
 # mu-calculus
 
+_interned: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()  # (class, *fields) -> node
+
 
 def _formula(cls: type) -> type:
-    """A frozen dataclass that stores its hash, made from its children's stored hashes."""
-    cls.__post_init__ = lambda self: object.__setattr__(self, "_hash", hash((cls,) + tuple(vars(self).values())))
-    cls.__hash__ = lambda self: self._hash
-    return dataclass(frozen=True)(cls)
+    """A frozen dataclass, built from positional fields, whose equal instances
+    are one interned object (hash-consing, Filliatre & Conchon 2006): equality
+    and hashing are identity and never walk a subtree.  The table holds nodes
+    weakly, so they do not outlive their formulas."""
+    cls.__new__ = staticmethod(lambda klass, *fields: _interned.setdefault((klass, *fields), object.__new__(klass)))
+    return dataclass(frozen=True, eq=False)(cls)
 
 
 @_formula
@@ -241,7 +247,8 @@ def parse_formula(text: str) -> Formula:
     enclosing fixpoint are variables, other identifiers are state atoms.
     A box outside P1 /\\ [] f is not single-sided safe and is rejected.
     Binders keep their written names, so two fixpoints may bind the same
-    variable; mucalc_game renames them apart."""
+    variable; mucalc_game renames them apart.  The rules run under core.drive:
+    each yields (rule, bound) for a nested rule and is sent back its formula."""
     toks = _tokenize(text)
     pos = [0]
 
@@ -257,55 +264,55 @@ def parse_formula(text: str) -> Formula:
         pos[0] += 1
         return got
 
-    def expr(bound: FrozenSet[str]) -> Formula:
+    def expr(bound: FrozenSet[str]) -> Generator:
         if peek() in ("mu", "nu"):
             kind = eat()
             var = eat()
             if not _re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", var) or var in ("mu", "nu", "P1"):
                 raise ValueError("bad fixpoint variable %r" % var)
             eat(".")
-            body = expr(bound | {var})
+            body = yield expr, bound | {var}
             return Mu(var, body) if kind == "mu" else Nu(var, body)
-        return disj(bound)
+        return (yield disj, bound)
 
-    def disj(bound: FrozenSet[str]) -> Formula:
-        f = conj(bound)
+    def disj(bound: FrozenSet[str]) -> Generator:
+        f = yield conj, bound
         while peek() == "\\/":
             eat()
-            f = Or(f, conj(bound))
+            f = Or(f, (yield conj, bound))
         return f
 
-    def conj(bound: FrozenSet[str]) -> Formula:
+    def conj(bound: FrozenSet[str]) -> Generator:
         if peek() == "P1":
             # the guarded box P1 /\ [] f takes no further conjuncts
             eat()
             if toks[pos[0]:pos[0] + 2] != ["/\\", "[]"]:
                 raise ValueError(_P1_MISUSE)
             pos[0] += 2
-            f = GuardedBox(unary(bound))
+            f = GuardedBox((yield unary, bound))
             if peek() == "/\\":
                 raise ValueError(_P1_MISUSE)
             return f
-        f = unary(bound)
+        f = yield unary, bound
         while peek() == "/\\":
             eat()
-            f = And(f, unary(bound))
+            f = And(f, (yield unary, bound))
         return f
 
-    def unary(bound: FrozenSet[str]) -> Formula:
+    def unary(bound: FrozenSet[str]) -> Generator:
         tok = peek()
         if tok == "<>":
             eat()
-            return Diamond(unary(bound))
+            return Diamond((yield unary, bound))
         if tok == "[]":
             raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
         if tok == "(":
             eat()
-            f = expr(bound)
+            f = yield expr, bound
             eat(")")
             return f
         if tok in ("mu", "nu"):
-            return expr(bound)
+            return (yield expr, bound)
         name = eat()
         if name in (")", ".", "/\\", "\\/"):
             raise ValueError("unexpected token %r" % name)
@@ -315,7 +322,7 @@ def parse_formula(text: str) -> Formula:
             return Var(name)
         return Atom(name)
 
-    f = expr(frozenset())
+    f = drive(lambda call: call[0](call[1]), (expr, frozenset()))
     if pos[0] != len(toks):
         raise ValueError("trailing tokens: %s" % " ".join(toks[pos[0]:]))
     return f
@@ -333,25 +340,31 @@ def _kids(f: Formula) -> Tuple[Formula, ...]:
     raise TypeError("not a formula: %r" % (f,))
 
 
-def _rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Optional[Dict[str, str]] = None) -> Formula:
+def _rename_apart(f: Formula) -> Formula:
     """Make bound variable names unique so each variable has one binder;
     the first binder of each name keeps it, so renaming twice is renaming once."""
-    used = used if used is not None else set()
-    env = env or {}
-    if isinstance(f, Var):
-        if f.name not in env and f.name in env.values():  # free, and a renamed binder took its name
-            raise ValueError("formula must be closed: free %s" % [f.name])
-        return Var(env.get(f.name, f.name))
-    if isinstance(f, (Mu, Nu)):
-        fresh = f.var
-        i = 0
-        while fresh in used:
-            i += 1
-            fresh = "%s_%d" % (f.var, i)
-        used.add(fresh)
-        return type(f)(fresh, _rename_apart(f.body, used, {**env, f.var: fresh}))
-    kids = tuple(_rename_apart(g, used, env) for g in _kids(f))
-    return type(f)(*kids) if kids else f
+    used: Set[str] = set()
+
+    def rename(call: Tuple[Formula, Dict[str, str]]) -> Generator:
+        g, env = call
+        if isinstance(g, Var):
+            if g.name not in env and g.name in env.values():  # free, and a renamed binder took its name
+                raise ValueError("formula must be closed: free %s" % [g.name])
+            return Var(env.get(g.name, g.name))
+        if isinstance(g, (Mu, Nu)):
+            fresh = g.var
+            i = 0
+            while fresh in used:
+                i += 1
+                fresh = "%s_%d" % (g.var, i)
+            used.add(fresh)
+            return type(g)(fresh, (yield g.body, {**env, g.var: fresh}))
+        kids = []
+        for h in _kids(g):
+            kids.append((yield h, env))
+        return type(g)(*kids) if kids else g
+
+    return drive(rename, (f, {}))
 
 
 def _closure(
@@ -364,18 +377,18 @@ def _closure(
     opposite fixpoint inside it with its variable free.  One walk lists each
     subformula on entry and fills in its entry on exit from its children's,
     so a fixpoint reads its dependents off its body's table; entries are
-    keyed by value, since equal formulas have equal entries."""
+    keyed by identity, and walk runs under core.drive, yielding each child."""
     subs: List[Formula] = []
     info: Dict[Formula, Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]] = {}
 
-    def walk(g: Formula) -> Tuple[int, FrozenSet[str], Dict[Tuple[type, str], int]]:
+    def walk(g: Formula) -> Generator:
         entry = info.get(g)
         if entry is not None:
             return entry
         subs.append(g)
         d, free, deepest = 0, frozenset([g.name] if isinstance(g, Var) else []), {}
         for h in _kids(g):
-            e, kid_free, table = walk(h)
+            e, kid_free, table = yield h
             d, free = max(d, e), free | kid_free
             for key, v in table.items():
                 deepest[key] = max(v, deepest.get(key, 0))
@@ -387,7 +400,7 @@ def _closure(
         info[g] = entry = d, free, deepest
         return entry
 
-    walk(f)
+    drive(walk, f)
     return subs, info
 
 

@@ -1,8 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 for any decided verdict (including Player-1 wins), 2 for
-errors, 3 when the solver could not decide within its budgets or a formula
-nests past the recursion limit.
+errors, 3 when the solver could not decide within its budgets.
 """
 from __future__ import annotations
 
@@ -240,9 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run(args)
     except BudgetExceeded as exc:
         print("unknown: %s" % exc, file=sys.stderr)
-        return EXIT_UNKNOWN
-    except RecursionError:
-        print("unknown: recursion limit hit; the input nests too deeply", file=sys.stderr)
         return EXIT_UNKNOWN
     except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)

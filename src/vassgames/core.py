@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Generator, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 INC = "inc"
 DEC = "dec"
@@ -39,6 +39,25 @@ class Budget:
     def check_time(self, layer: str) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exceeded in %s" % layer)
+
+
+def drive(step: Callable[[Any], Generator], first: Any, budget: Optional[Budget] = None, layer: str = "") -> Any:
+    """Run the generator step(first) and return its value.  A call that yields
+    x gets step(x) run as a nested call and is sent back its value, so a
+    recursive definition written with yields nests on an explicit stack, not
+    on Python frames.  Budget's deadline, if any, is checked before each call."""
+    stack, result = [step(first)], None  # the calls in progress, innermost last
+    while stack:
+        try:
+            stack.append(step(stack[-1].send(result)))
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            result = None
+            if budget is not None:
+                budget.check_time(layer)
+    return result
 
 
 @dataclass(frozen=True)

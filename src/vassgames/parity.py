@@ -14,9 +14,8 @@ bytearray alive holds 1 for each vertex of the subgame being solved.  A
 call on the subgame minus an attractor clears the attractor's vertices in
 alive and sets them again when it returns, so each call holds only the
 list of its own vertices.  solve is Zielonka's definition with its two
-recursive calls written as yields: one loop keeps the calls in progress on
-an explicit stack, so no Python frame is spent per nested call, and it
-checks the deadline of budget, if given, before each call.
+recursive calls written as yields and run by core.drive on an explicit
+stack, which checks budget's deadline before each call.
 Each attractor marks its members with a stamp of its own and counts an
 opponent vertex's alive successors the first time it reaches that vertex
 (Friedmann & Lange, "Solving parity games in practice", ATVA 2009).
@@ -27,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Generator, List, Optional, Tuple
 
-from .core import Budget
+from .core import Budget, drive
 
 
 @dataclass(frozen=True)
@@ -124,16 +123,5 @@ def solve_parity(
         S[1 - i].update(strat_o)
         return W, S
 
-    stack, result = [solve(list(range(n)))], None  # the calls in progress, innermost last
-    while stack:
-        try:
-            stack.append(solve(stack[-1].send(result)))
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-        else:
-            result = None
-            if budget is not None:
-                budget.check_time(layer)
-    W, S = result
+    W, S = drive(solve, list(range(n)), budget, layer)
     return frozenset(W[0]), frozenset(W[1]), S[0], S[1]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re as _re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,8 @@ from vassgames.applications import (
     Nu,
     Or,
     Var,
+    _P1_MISUSE,
+    _tokenize,
 )
 from vassgames.core import (
     Antichain,
@@ -1257,6 +1260,88 @@ def reference_weaksim_game(
                     add_t(reference_reply(s, q), t.op, reference_reply(s, t.target))
             add_t(reference_reply(s, q), NOP_OP, reference_challenge(s, q))
     return complete_with_sinks(IntegerGame(vass.counters, tuple(states), tuple(transitions)))
+
+
+def reference_parse_formula(text: str) -> Formula:
+    """The recursive descent parser that parse_formula replaced: one Python
+    frame per rule and nesting level, so deep formulas hit the recursion limit."""
+    toks = _tokenize(text)
+    pos = [0]
+
+    def peek() -> Optional[str]:
+        return toks[pos[0]] if pos[0] < len(toks) else None
+
+    def eat(tok: Optional[str] = None) -> str:
+        if pos[0] >= len(toks):
+            raise ValueError("unexpected end of formula")
+        got = toks[pos[0]]
+        if tok is not None and got != tok:
+            raise ValueError("expected %r, got %r" % (tok, got))
+        pos[0] += 1
+        return got
+
+    def expr(bound: FrozenSet[str]) -> Formula:
+        if peek() in ("mu", "nu"):
+            kind = eat()
+            var = eat()
+            if not _re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", var) or var in ("mu", "nu", "P1"):
+                raise ValueError("bad fixpoint variable %r" % var)
+            eat(".")
+            body = expr(bound | {var})
+            return Mu(var, body) if kind == "mu" else Nu(var, body)
+        return disj(bound)
+
+    def disj(bound: FrozenSet[str]) -> Formula:
+        f = conj(bound)
+        while peek() == "\\/":
+            eat()
+            f = Or(f, conj(bound))
+        return f
+
+    def conj(bound: FrozenSet[str]) -> Formula:
+        if peek() == "P1":
+            # the guarded box P1 /\ [] f takes no further conjuncts
+            eat()
+            if toks[pos[0]:pos[0] + 2] != ["/\\", "[]"]:
+                raise ValueError(_P1_MISUSE)
+            pos[0] += 2
+            f = GuardedBox(unary(bound))
+            if peek() == "/\\":
+                raise ValueError(_P1_MISUSE)
+            return f
+        f = unary(bound)
+        while peek() == "/\\":
+            eat()
+            f = And(f, unary(bound))
+        return f
+
+    def unary(bound: FrozenSet[str]) -> Formula:
+        tok = peek()
+        if tok == "<>":
+            eat()
+            return Diamond(unary(bound))
+        if tok == "[]":
+            raise ValueError("unguarded box is not single-sided safe; use P1 /\\ [] f")
+        if tok == "(":
+            eat()
+            f = expr(bound)
+            eat(")")
+            return f
+        if tok in ("mu", "nu"):
+            return expr(bound)
+        name = eat()
+        if name in (")", ".", "/\\", "\\/"):
+            raise ValueError("unexpected token %r" % name)
+        if name == "P1":
+            raise ValueError(_P1_MISUSE)
+        if name in bound:
+            return Var(name)
+        return Atom(name)
+
+    f = expr(frozenset())
+    if pos[0] != len(toks):
+        raise ValueError("trailing tokens: %s" % " ".join(toks[pos[0]:]))
+    return f
 
 
 def reference_rename_apart(f: Formula, used: Optional[Set[str]] = None, env: Optional[Dict[str, str]] = None) -> Formula:

@@ -1,5 +1,7 @@
 """Weak simulation checking and mu-calculus model checking."""
+import os
 import random
+import sys
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from helpers import (
     reference_challenge,
     reference_free_vars,
     reference_mucalc_game,
+    reference_parse_formula,
     reference_rename_apart,
     reference_subformulas,
     reference_weaksim_game,
@@ -49,6 +52,9 @@ from vassgames.core import (
     inc,
     is_single_sided,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+from gen import random_formula  # noqa: E402  (the benchmark's formula generator)
 
 G1 = IntegerGame(
     ("c",),
@@ -159,6 +165,34 @@ class TestParser:
             parse_formula("a b")
 
 
+def parse_outcome(parse, text):
+    """The formula parse gives for text, or the message of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+class TestParserAgainstReference:
+    TOKENS = ("(", ")", ".", "/\\", "\\/", "<>", "[]", "mu", "nu", "P1", "X", "Y", "q0", "q1")
+
+    def test_random_token_strings(self):
+        rng = random.Random(27)
+        valid = 0
+        for _ in range(100000):
+            text = " ".join(rng.choice(self.TOKENS) for _ in range(rng.randint(1, 10)))
+            got = parse_outcome(parse_formula, text)
+            assert got == parse_outcome(reference_parse_formula, text), text
+            valid += not isinstance(got, str)
+        assert valid > 1000  # enough of them parse to compare formulas, not just messages
+
+    def test_benchmark_formulas(self):
+        rng = random.Random(27)
+        for _ in range(3000):
+            text = random_formula(rng, ["q0", "q1", "q2"], rng.randint(0, 6))
+            assert parse_formula(text) is reference_parse_formula(text), text
+
+
 def alternation_depth(f):
     return _closure(f)[1][f][0]
 
@@ -190,17 +224,22 @@ class TestAlternation:
 
 class TestFormulaHash:
     def test_deep_chain_hashes_without_recursion(self):
-        # built bottom-up, since the parser still recurses once per level;
-        # a hash that rehashes the subtree fails here with RecursionError
-        f = Atom("q")
-        for _ in range(2000):
-            f = Or(Diamond(f), Atom("q"))
+        # a hash or an equality that walks the subtree fails here with RecursionError
+        def chain():
+            f = Atom("q")
+            for _ in range(2000):
+                f = Or(Diamond(f), Atom("q"))
+            return f
+
+        f = chain()
         assert hash(f) == hash(f)
         assert {f: 1}[f] == 1
+        a, b = chain(), chain()
+        assert a is b and a == b
 
     def test_equal_formulas_hash_equal(self):
         for text in ("mu X . <> (X \\/ nu Y . <> Y)", "P1 /\\ [] (a /\\ <> b)", "nu X . mu Y . (<> Y \\/ <> X)"):
-            assert parse_formula(text) is not parse_formula(text)
+            assert parse_formula(text) is parse_formula(text)
             assert hash(parse_formula(text)) == hash(parse_formula(text))
         assert hash(Atom("a")) != hash(Var("a")) and Atom("a") != Var("a")
 

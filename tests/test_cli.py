@@ -284,11 +284,14 @@ class TestExitCodes:
         assert err.startswith("unknown: time budget exceeded in " + layer)
         assert time.monotonic() - t0 < 1.5
 
-    def test_deep_formula_is_unknown(self, capsys, tmp_path):
+    def test_deep_formula_decided(self, capsys, tmp_path):
+        # from q0 c=1 only the loop q0 -> q1 -> q0 reaches q1, so <>^n q1
+        # holds iff n is odd; no formula walk recurses once per level
         f = tmp_path / "deep.mu"
-        f.write_text("<> " * 3000 + "q1\n")
-        code, _, err = run_cli(capsys, "mc", G1, "--formula", str(f), "--init", "q0 c=1")
-        assert code == 3 and err.startswith("unknown: recursion limit hit")
+        for n, verdict in ((3000, "false"), (2999, "true")):
+            f.write_text("<> " * n + "q1\n")
+            code, out, _ = run_cli(capsys, "mc", G1, "--formula", str(f), "--init", "q0 c=1")
+            assert code == 0 and out.strip() == verdict
 
 
 class TestCheck:

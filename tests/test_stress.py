@@ -88,3 +88,32 @@ def test_parity_chain(capsys, tmp_path, n):
     assert code == 0
     assert out.splitlines() == ["Win0"]
     assert elapsed < 10.0
+
+
+CYCLE = "counters c\nstate a owner=0 color=0\nstate b owner=0 color=0\ntrans t0: a nop b\ntrans t1: b nop a\n"
+
+
+def diamonds(n):
+    """<>^n a: on the two-state cycle a <-> b it holds at a iff n is even."""
+    return "<> " * n + "a\n"
+
+
+def alternating_binders(n):
+    """mu X0 . <> nu X1 . <> mu X2 . <> ... a, n binders each over one
+    diamond: no variable occurs, so it means <>^n a."""
+    return "".join("%s X%d . <> " % ("nu" if i % 2 else "mu", i) for i in range(n)) + "a\n"
+
+
+@pytest.mark.parametrize("family", [diamonds, alternating_binders])
+@pytest.mark.parametrize("n", [3000, 3001])
+def test_deep_formula(capsys, tmp_path, family, n):
+    game, formula = tmp_path / "cycle.game", tmp_path / "deep.mu"
+    game.write_text(CYCLE)
+    formula.write_text(family(n))
+    t0 = time.monotonic()
+    code = cli.main(["mc", str(game), "--formula", str(formula), "--init", "a c=0"])
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == ["true" if n % 2 == 0 else "false"]
+    assert elapsed < 10.0
